@@ -12,6 +12,8 @@ makes a fitted model reusable and servable:
   HTTP service (``/assign``, ``/models``, ``/healthz``) and its
   client, with per-request observability, drift checks, and graceful
   shutdown.
+- :mod:`repro.serve.http` -- the request core (handler and server
+  base) that the server and the router share.
 - :mod:`repro.serve.router` / :mod:`repro.serve.worker` -- the
   scale-out layer: N worker subprocesses sharded by ``(city, isp)``
   behind one front router (``repro serve --workers N``).

@@ -26,7 +26,12 @@ fitted :class:`~repro.core.bst.BSTResult` stored on disk:
 All writes are atomic (temp file + ``os.replace``), so a crashed
 registration never leaves a half-written object or index.  Loads go
 through a bounded in-process LRU cache; ``serve.registry.*`` counters
-report hit/miss/load traffic.
+report hit/miss/load traffic.  The index is read on every call but
+parsed once per distinct file content, so :meth:`ModelRegistry.resolve`
+-- the one "newest registered model matching these selectors" rule the
+server, the router and the stream monitor share -- sees another
+process's registration on its next call without re-parsing an
+unchanged index.
 
 :func:`shard_for` is the one place the ``(city, isp) -> shard`` hash
 lives: the router and the sharded workers must agree on it byte for
@@ -108,9 +113,13 @@ class ModelKey:
         return cls(city=parts[0], isp=parts[1], config_hash=parts[2])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelRecord:
-    """Index entry for one registered model (JSON-able)."""
+    """Index entry for one registered model (JSON-able).
+
+    Frozen because the registry hands the same parsed records to every
+    caller until the index file changes.
+    """
 
     key: ModelKey
     digest: str
@@ -256,6 +265,8 @@ class ModelRegistry:
         self.cache_size = int(cache_size)
         self._lock = threading.RLock()
         self._cache: OrderedDict[str, BSTResult] = OrderedDict()
+        # (index file bytes, records by slug) of the last parse.
+        self._index_memo: tuple[bytes, dict[str, ModelRecord]] = (b"", {})
 
     # ------------------------------------------------------------------
     @property
@@ -331,9 +342,9 @@ class ModelRegistry:
                 if not obj_path.exists():
                     _atomic_write(obj_path, blob)
                 self._write_shared(digest, payload)
-                index = self._read_index()
-                index[key.slug] = record.to_dict()
-                self._write_index(index)
+                entries = self._parse_index(self._index_bytes())
+                entries[key.slug] = record.to_dict()
+                self._write_index(entries)
                 self._cache_put(digest, result)
             sp.set(digest=digest[:16], train_size=record.train_size)
         obs_metrics.counter("serve.registry.registered").inc()
@@ -350,8 +361,7 @@ class ModelRegistry:
     def lookup(self, key: ModelKey) -> ModelRecord | None:
         """The record registered under ``key``, or None."""
         with self._lock:
-            row = self._read_index().get(key.slug)
-        return ModelRecord.from_dict(row) if row is not None else None
+            return self._index_records().get(key.slug)
 
     def load(self, key: ModelKey) -> tuple[BSTResult, ModelRecord]:
         """Load the model registered under ``key`` (LRU-cached).
@@ -359,16 +369,9 @@ class ModelRegistry:
         Raises ``KeyError`` when the key is unregistered and
         ``ValueError`` when the stored object is corrupt.
         """
-        record = self.lookup(key)
-        if record is None:
-            obs_metrics.counter("serve.registry.misses").inc()
-            raise KeyError(f"no model registered for {key.slug!r}")
-        with self._lock:
-            cached = self._cache.get(record.digest)
-            if cached is not None:
-                self._cache.move_to_end(record.digest)
-                obs_metrics.counter("serve.registry.hits").inc()
-                return cached, record
+        record, cached = self._record_and_cached(key)
+        if cached is not None:
+            return cached, record
         with span("serve.registry.load", key=key.slug):
             obj_path = self.object_path(record.digest)
             try:
@@ -401,16 +404,9 @@ class ModelRegistry:
         The sidecar is created on first use when registration predates
         it.  Raises the same errors as :meth:`load`.
         """
-        record = self.lookup(key)
-        if record is None:
-            obs_metrics.counter("serve.registry.misses").inc()
-            raise KeyError(f"no model registered for {key.slug!r}")
-        with self._lock:
-            cached = self._cache.get(record.digest)
-            if cached is not None:
-                self._cache.move_to_end(record.digest)
-                obs_metrics.counter("serve.registry.hits").inc()
-                return cached, record
+        record, cached = self._record_and_cached(key)
+        if cached is not None:
+            return cached, record
         path = self.shared_path(record.digest)
         if not path.exists():
             # Sidecar missing (registered by an older build): build it
@@ -423,6 +419,21 @@ class ModelRegistry:
             self._cache_put(record.digest, result)
         obs_metrics.counter("serve.registry.shared_loads").inc()
         return result, record
+
+    def _record_and_cached(
+        self, key: ModelKey
+    ) -> tuple[ModelRecord, BSTResult | None]:
+        """``key``'s record and its cached fit (None on a cache miss)."""
+        record = self.lookup(key)
+        if record is None:
+            obs_metrics.counter("serve.registry.misses").inc()
+            raise KeyError(f"no model registered for {key.slug!r}")
+        with self._lock:
+            cached = self._cache.get(record.digest)
+            if cached is not None:
+                self._cache.move_to_end(record.digest)
+                obs_metrics.counter("serve.registry.hits").inc()
+        return record, cached
 
     def shared_path(self, digest: str) -> Path:
         """The mmap sidecar path for a content digest."""
@@ -489,9 +500,48 @@ class ModelRegistry:
     def records(self) -> list[ModelRecord]:
         """Every registered model's record, sorted by key slug."""
         with self._lock:
-            index = self._read_index()
+            return list(self._index_records().values())
+
+    def resolve(
+        self,
+        city: str | None = None,
+        isp: str | None = None,
+        config_hash: str | None = None,
+        shard: tuple[int, int] | None = None,
+    ) -> ModelRecord:
+        """The newest registered record matching the selectors.
+
+        ``None`` selectors match anything; ``shard`` = ``(index,
+        total)`` keeps only models whose ``(city, isp)`` lands on that
+        shard under :func:`shard_for`.  Ties on ``created_s`` go to the
+        first key slug.  Raises ``KeyError`` when nothing matches.
+        Like :meth:`records`, it reads the index on every call, so a
+        registration by any process is visible on the next one.
+        """
+        candidates = [
+            record
+            for record in self.records()
+            if (city is None or record.key.city == city)
+            and (isp is None or record.key.isp == isp)
+            and (config_hash is None or record.key.config_hash == config_hash)
+            and (
+                shard is None
+                or shard_for(record.key.city, record.key.isp, shard[1])
+                == shard[0]
+            )
+        ]
+        if not candidates:
+            raise KeyError(
+                "no registered model matches "
+                f"city={city!r} isp={isp!r} config_hash={config_hash!r}"
+            )
+        return max(candidates, key=lambda r: r.created_s)
+
+    def models(self) -> list[dict[str, Any]]:
+        """The ``GET /models`` listing: every record plus its ``age_s``."""
         return [
-            ModelRecord.from_dict(index[slug]) for slug in sorted(index)
+            {**record.to_dict(), "age_s": round(record.age_s(), 3)}
+            for record in self.records()
         ]
 
     def evict_cache(self) -> None:
@@ -512,16 +562,38 @@ class ModelRegistry:
         while len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)
 
-    def _read_index(self) -> dict[str, Any]:
+    def _index_bytes(self) -> bytes:
         try:
-            text = self.index_path.read_text(encoding="utf-8")
+            return self.index_path.read_bytes()
         except FileNotFoundError:
-            return {}
-        if not text.strip():
+            return b""
+
+    def _index_records(self) -> dict[str, ModelRecord]:
+        """Slug -> record for the index on disk, sorted by slug.
+
+        Reads the file on every call; the parse is memoized on its
+        exact bytes, so an unchanged index is not parsed again and a
+        corrupt one raises ``ValueError`` on every call.  Call with
+        ``self._lock`` held; the result is shared, do not mutate it.
+        """
+        raw = self._index_bytes()
+        if raw != self._index_memo[0]:
+            entries = self._parse_index(raw)
+            self._index_memo = (
+                raw,
+                {
+                    slug: ModelRecord.from_dict(entries[slug])
+                    for slug in sorted(entries)
+                },
+            )
+        return self._index_memo[1]
+
+    def _parse_index(self, raw: bytes) -> dict[str, Any]:
+        if not raw.strip():
             return {}
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            data = json.loads(raw)
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ValueError(
                 f"corrupt registry index {self.index_path}: {exc}"
             ) from exc

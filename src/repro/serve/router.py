@@ -7,8 +7,9 @@ hash lands on its shard, and exposes one endpoint with the same HTTP
 contract as the single-process server:
 
 - ``POST /assign``  -- resolved against the registry index, forwarded
-  to the owning shard's worker, response relayed verbatim (the worker
-  honours the router's ``X-Trace-Id``, so traces join up end to end);
+  to the owning shard's worker, response relayed verbatim (the router
+  honours a caller's ``X-Trace-Id`` and forwards its id to the worker,
+  so traces join up end to end);
 - ``GET /models``   -- answered from the shared registry directly;
 - ``GET /healthz``  -- router process table plus every worker's own
   health document;
@@ -41,7 +42,6 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
@@ -52,6 +52,7 @@ from repro.obs.metrics import (
     render_prometheus,
 )
 from repro.obs.trace import new_trace_id
+from repro.serve.http import JsonHTTPServer, JsonRequestHandler, RequestError
 from repro.serve.registry import (
     ModelKey,
     ModelRecord,
@@ -257,30 +258,6 @@ class _RouterService:
         self.stream_tap = None
 
     # -- routing ---------------------------------------------------------
-    def resolve_record(self, payload: dict[str, Any]) -> ModelRecord:
-        """The registry record a payload's selectors address.
-
-        Mirrors ``AssignmentService.resolve`` (missing selectors match
-        anything, ties go to the most recent registration) so the
-        router forwards to the worker that will pick the same model.
-        """
-        city = payload.get("city") or self.config.default_city or None
-        isp = payload.get("isp")
-        config_hash = payload.get("config_hash")
-        candidates = [
-            record
-            for record in self.registry.records()
-            if (city is None or record.key.city == city)
-            and (isp is None or record.key.isp == isp)
-            and (config_hash is None or record.key.config_hash == config_hash)
-        ]
-        if not candidates:
-            raise KeyError(
-                "no registered model matches "
-                f"city={city!r} isp={isp!r} config_hash={config_hash!r}"
-            )
-        return max(candidates, key=lambda r: r.created_s)
-
     def forward_assign(
         self, body: bytes, record: ModelRecord, trace_id: str
     ) -> tuple[int, bytes]:
@@ -344,9 +321,9 @@ class _RouterService:
         """Fan ``POST /reload`` out to the shards that own ``slugs``.
 
         None (or an empty list) reloads every worker.  The router's own
-        registry cache is evicted too, so ``resolve_record`` sees fresh
-        index entries.  Worker outcomes are reported per shard; an
-        unreachable worker is an error row, not a failed fan-out.
+        registry cache is evicted too.  Worker outcomes are reported per
+        shard; an unreachable worker is an error row, not a failed
+        fan-out.
         """
         self.registry.evict_cache()
         if slugs:
@@ -474,13 +451,19 @@ class _RouterService:
         )
         return "\n".join(lines) + ("\n" + own if own else "\n")
 
-    def models(self) -> list[dict[str, Any]]:
-        # lint: allow[DET002] age_s compares against stored epoch stamps
-        now = time.time()
-        return [
-            {**record.to_dict(), "age_s": round(record.age_s(now), 3)}
-            for record in self.registry.records()
-        ]
+    # -- per-request instruments (called by the request core) ----------
+    def record_request(self) -> None:
+        self.metrics.counter("serve.router.requests").inc()
+
+    def record_error(self) -> None:
+        self.metrics.counter("serve.router.errors").inc()
+
+    def observe_http(
+        self, endpoint: str, status: int, elapsed_s: float
+    ) -> None:
+        self.metrics.histogram("serve.router.request_latency_s").observe(
+            elapsed_s
+        )
 
     # -- lifecycle -------------------------------------------------------
     def start_workers(self) -> None:
@@ -495,144 +478,42 @@ class _RouterService:
             handle.stop()
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    """HTTP routing for :class:`RouterServer`."""
+class _RouterHandler(JsonRequestHandler):
+    """Routes of :class:`RouterServer`."""
 
-    protocol_version = "HTTP/1.1"
     server: "RouterServer"
 
-    def setup(self) -> None:
-        super().setup()
-        self.connection.settimeout(
-            self.server.router.config.request_timeout_s
-        )
+    def _get_healthz(self) -> None:
+        self._send_json(200, self.server.router.health())
 
-    def log_message(self, format: str, *args: Any) -> None:
-        log.debug("http " + format % args)
+    def _get_models(self) -> None:
+        self._send_json(200, {"models": self.server.router.registry.models()})
 
-    # -- plumbing --------------------------------------------------------
-    def _send_body(
-        self, status: int, body: bytes, content_type: str
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Trace-Id", self._trace_id)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: dict | list) -> None:
+    def _get_metrics(self) -> None:
         self._send_body(
-            status, json.dumps(payload).encode("utf-8"), "application/json"
+            200,
+            self.server.router.metrics_text().encode("utf-8"),
+            "text/plain; version=0.0.4; charset=utf-8",
         )
 
-    def _error(self, status: int, message: str) -> None:
-        self.server.router.metrics.counter("serve.router.errors").inc()
-        self._send_json(
-            status,
-            {
-                "error": {
-                    "code": status,
-                    "message": message,
-                    "trace_id": self._trace_id,
-                }
-            },
-        )
-
-    # -- routes ----------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle(self._route_get)
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle(self._route_post)
-
-    def _handle(self, route) -> None:
+    def _post_assign(self) -> None:
         router = self.server.router
-        router.metrics.counter("serve.router.requests").inc()
-        self._trace_id = new_trace_id()
-        self._status = 500
-        start = time.perf_counter()
+        payload, body = self._read_json()
         try:
-            route()
-        except BrokenPipeError:
-            pass  # client went away; nothing to send
-        except Exception as exc:  # defensive: never kill the thread
-            log.error(
-                "unhandled router error",
-                extra=kv(
-                    path=self.path,
-                    error=repr(exc),
-                    trace_id=self._trace_id,
-                ),
+            # The same pick the owning worker will make.
+            record = router.registry.resolve(
+                payload.get("city") or router.config.default_city or None,
+                payload.get("isp"),
+                payload.get("config_hash"),
             )
-            try:
-                self._error(500, f"internal error: {exc}")
-            # lint: allow[COR003] best-effort 500; the socket may be gone
-            except Exception:
-                pass
-        finally:
-            router.metrics.histogram(
-                "serve.router.request_latency_s"
-            ).observe(time.perf_counter() - start)
-
-    def _route_get(self) -> None:
-        path = self.path.split("?", 1)[0]
-        router = self.server.router
-        if path == "/healthz":
-            self._send_json(200, router.health())
-        elif path == "/models":
-            self._send_json(200, {"models": router.models()})
-        elif path == "/metrics":
-            self._send_body(
-                200,
-                router.metrics_text().encode("utf-8"),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        else:
-            self._error(404, f"unknown path {path!r}")
-
-    def _route_post(self) -> None:
-        path = self.path.split("?", 1)[0]
-        router = self.server.router
-        if path == "/reload":
-            self._route_reload()
-            return
-        if path != "/assign":
-            self._error(404, f"unknown path {path!r}")
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            self._error(400, "missing request body")
-            return
-        if length > router.config.max_body_bytes:
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{router.config.max_body_bytes}-byte limit",
-            )
-            return
-        body = self.rfile.read(length)
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as exc:
-            self._error(400, f"invalid JSON body: {exc}")
-            return
-        if not isinstance(payload, dict):
-            self._error(400, "request body must be a JSON object")
-            return
-        try:
-            record = router.resolve_record(payload)
         except KeyError as exc:
-            self._error(404, str(exc).strip("'\""))
-            return
+            raise RequestError(404, str(exc).strip("'\"")) from None
         try:
             status, response = router.forward_assign(
                 body, record, self._trace_id
             )
         except (urllib.error.URLError, ConnectionError, OSError) as exc:
-            self._error(502, f"worker unavailable: {exc}")
-            return
+            raise RequestError(502, f"worker unavailable: {exc}") from None
         self._send_body(status, response, "application/json")
         if status == 200:
             tap = router.stream_tap
@@ -650,63 +531,36 @@ class _RouterHandler(BaseHTTPRequestHandler):
                         "stream tap failed", extra=kv(error=repr(exc))
                     )
 
-    def _route_reload(self) -> None:
+    def _post_reload(self) -> None:
         """``POST /reload``: fan the hot-swap out to the worker fleet."""
-        router = self.server.router
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > router.config.max_body_bytes:
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{router.config.max_body_bytes}-byte limit",
-            )
-            return
-        slugs = None
-        if length > 0:
-            try:
-                payload = json.loads(self.rfile.read(length))
-            except json.JSONDecodeError as exc:
-                self._error(400, f"invalid JSON body: {exc}")
-                return
-            if not isinstance(payload, dict):
-                self._error(400, "reload body must be a JSON object")
-                return
-            slugs = payload.get("slugs")
-            if slugs is not None and (
-                not isinstance(slugs, list)
-                or not all(isinstance(s, str) for s in slugs)
-            ):
-                self._error(400, "'slugs' must be a list of model slugs")
-                return
+        slugs = self._reload_slugs()
         try:
-            response = router.reload_models(slugs, trace_id=self._trace_id)
+            response = self.server.router.reload_models(
+                slugs, trace_id=self._trace_id
+            )
         except ValueError as exc:
-            self._error(400, str(exc))
-            return
+            raise RequestError(400, str(exc)) from None
         response["trace_id"] = self._trace_id
         self._send_json(200, response)
 
+    get_routes = {
+        "/healthz": _get_healthz,
+        "/models": _get_models,
+        "/metrics": _get_metrics,
+    }
+    post_routes = {"/assign": _post_assign, "/reload": _post_reload}
 
-class RouterServer(ThreadingHTTPServer):
+
+class RouterServer(JsonHTTPServer):
     """Threading front server bound to one worker fleet.
 
-    Shares ``serve_until_shutdown``'s duck-typed contract with
-    :class:`~repro.serve.server.ServeServer`: ``server_close`` joins
-    handler threads, then SIGTERMs every worker and waits for their
-    graceful exits.
+    ``server_close`` joins handler threads, then SIGTERMs every worker
+    and waits for their graceful exits.
     """
-
-    daemon_threads = False
-    block_on_close = True
-    allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int], router: _RouterService):
         self.router = router
-        super().__init__(address, _RouterHandler)
-
-    def server_close(self) -> None:
-        super().server_close()  # joins handler threads first
-        self.router.close()
+        super().__init__(address, router, _RouterHandler)
 
 
 def build_router(

@@ -20,16 +20,18 @@ framework) exposing
   (:mod:`repro.stream.scheduler`) calls this after registering a
   drift-triggered refit; see docs/STREAMING.md.
 
-Every request gets a fresh ``trace_id`` (echoed in the ``X-Trace-Id``
-response header, ``/assign`` responses, and error JSON) and — when the
-id passes the ``trace_sample_rate`` coin — runs under a
-``serve.request`` span carrying ``method`` / ``path`` / ``status`` /
-``trace_id``.  Requests feed the ``serve.requests`` counter, the
-``serve.errors`` (+ per-class ``serve.errors_4xx`` / ``serve.errors_5xx``)
-counters, and per-endpoint / per-status-class latency histograms, into
-both the process-global registry (when observability is on) and a
-dedicated always-on :class:`~repro.obs.metrics.MetricsRegistry` that
-backs ``/metrics``.  Incoming tuples also stream into a dedicated
+The HTTP plumbing (trace ids, body limits, error envelopes) is the
+shared :class:`~repro.serve.http.JsonRequestHandler`.  Every request
+gets a ``trace_id`` (echoed in the ``X-Trace-Id`` response header,
+``/assign`` responses, and error JSON) and — when the id passes the
+``trace_sample_rate`` coin — runs under a ``serve.request`` span
+carrying ``method`` / ``path`` / ``status`` / ``trace_id``.  Requests
+feed the ``serve.requests`` counter, the ``serve.errors`` (+ per-class
+``serve.errors_4xx`` / ``serve.errors_5xx``) counters, and
+per-endpoint / per-status-class latency histograms, into both the
+process-global registry (when observability is on) and a dedicated
+always-on :class:`~repro.obs.metrics.MetricsRegistry` that backs
+``/metrics``.  Incoming tuples also stream into a dedicated
 :class:`~repro.obs.quality.QualityMonitor`; the drift check compares
 each model's observed download/upload means against the
 ``training_stats`` recorded at registration and flags models whose
@@ -47,15 +49,13 @@ terminated server never drops an accepted request.
 
 from __future__ import annotations
 
-import json
+import contextlib
 import queue
-import re
 import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -69,19 +69,15 @@ from repro.obs.alerts import (
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.obs.quality import QualityMonitor
-from repro.obs.trace import new_trace_id, should_sample, span, use_trace_id
+from repro.obs.trace import should_sample, span
 from repro.serve.engine import (
     BatcherClosedError,
     MicroBatcher,
     QuantizedLookup,
     TierAssigner,
 )
-from repro.serve.registry import (
-    ModelKey,
-    ModelRecord,
-    ModelRegistry,
-    shard_for,
-)
+from repro.serve.http import JsonHTTPServer, JsonRequestHandler, RequestError
+from repro.serve.registry import ModelKey, ModelRecord, ModelRegistry
 
 log = get_logger("serve.server")
 
@@ -161,8 +157,6 @@ class AssignmentService:
         )
         self._evaluator: AlertEvaluator | None = None
         self._started = time.monotonic()
-        self.n_requests = 0
-        self.n_errors = 0
         # Last drift verdict per model slug: serve.drift_flags counts
         # only not-drifted -> drifted *transitions*, so its rate tracks
         # drift events rather than /healthz or alert-loop polling.
@@ -182,6 +176,15 @@ class AssignmentService:
                 self.alerts, interval_s=self.config.alert_interval_s
             ).start()
 
+    def _write_metrics(self, write: Callable[[Any], None]) -> None:
+        """Apply one instrument write to both metrics registries.
+
+        The dedicated registry is always on and backs ``/metrics``; the
+        process-global one is a no-op unless the CLI installed one.
+        """
+        write(self.metrics)
+        write(obs_metrics.get_registry())
+
     # -- model resolution ------------------------------------------------
     def resolve(
         self,
@@ -189,33 +192,19 @@ class AssignmentService:
         isp: str | None = None,
         config_hash: str | None = None,
     ) -> _LoadedModel:
-        """The loaded model matching the given selectors.
+        """The loaded model for :meth:`ModelRegistry.resolve`'s pick.
 
-        Missing selectors match anything; ties resolve to the most
-        recently registered record.  Raises ``KeyError`` when nothing
-        matches.  A sharded service (``config.shard``) only matches
-        models whose ``(city, isp)`` hash lands on its shard.
+        A missing ``city`` falls back to ``config.default_city``; a
+        sharded service (``config.shard``) only matches models whose
+        ``(city, isp)`` hash lands on its shard.  Raises ``KeyError``
+        when nothing matches.
         """
-        city = city or self.config.default_city or None
-        shard = self.config.shard
-        candidates = [
-            record
-            for record in self.registry.records()
-            if (city is None or record.key.city == city)
-            and (isp is None or record.key.isp == isp)
-            and (config_hash is None or record.key.config_hash == config_hash)
-            and (
-                shard is None
-                or shard_for(record.key.city, record.key.isp, shard[1])
-                == shard[0]
-            )
-        ]
-        if not candidates:
-            raise KeyError(
-                "no registered model matches "
-                f"city={city!r} isp={isp!r} config_hash={config_hash!r}"
-            )
-        record = max(candidates, key=lambda r: r.created_s)
+        record = self.registry.resolve(
+            city or self.config.default_city or None,
+            isp,
+            config_hash,
+            shard=self.config.shard,
+        )
         return self._load(record.key)
 
     def _load(self, key: ModelKey) -> _LoadedModel:
@@ -244,8 +233,9 @@ class AssignmentService:
             # Another thread may have raced us; keep the first.
             loaded = self._loaded.setdefault(key.slug, loaded)
             n_loaded = len(self._loaded)
-        obs_metrics.gauge("serve.models_loaded").set(n_loaded)
-        self.metrics.gauge("serve.models_loaded").set(n_loaded)
+        self._write_metrics(
+            lambda r: r.gauge("serve.models_loaded").set(n_loaded)
+        )
         return loaded
 
     def batcher_for(self, loaded: _LoadedModel) -> MicroBatcher:
@@ -283,11 +273,10 @@ class AssignmentService:
             uploads = np.asarray(uploads, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"non-numeric speed values: {exc}") from exc
-        loaded = self.resolve(
-            city=payload.get("city"),
-            isp=payload.get("isp"),
-            config_hash=payload.get("config_hash"),
-        )
+        selectors = {
+            name: payload.get(name) for name in ("city", "isp", "config_hash")
+        }
+        loaded = self.resolve(**selectors)
         if payload.get("stream") and downloads.size == 1:
             try:
                 tier, group = self.batcher_for(loaded).assign_one(
@@ -298,11 +287,7 @@ class AssignmentService:
                 # us.  Re-resolve (loading the fresh registration) and
                 # retry once, so a swap never surfaces as a 5xx burst;
                 # a second closure means real shutdown and propagates.
-                loaded = self.resolve(
-                    city=payload.get("city"),
-                    isp=payload.get("isp"),
-                    config_hash=payload.get("config_hash"),
-                )
+                loaded = self.resolve(**selectors)
                 tier, group = self.batcher_for(loaded).assign_one(
                     float(downloads[0]), float(uploads[0])
                 )
@@ -393,8 +378,9 @@ class AssignmentService:
                 was_drifted = self._drift_flagged.get(model.key.slug, False)
                 self._drift_flagged[model.key.slug] = drifted
             if drifted and not was_drifted:
-                obs_metrics.counter("serve.drift_flags").inc()
-                self.metrics.counter("serve.drift_flags").inc()
+                self._write_metrics(
+                    lambda r: r.counter("serve.drift_flags").inc()
+                )
                 log.warning(
                     "serving traffic drifted from training distribution",
                     extra=kv(model=model.key.slug),
@@ -410,30 +396,20 @@ class AssignmentService:
 
     # -- health / lifecycle ----------------------------------------------
     def record_request(self) -> None:
-        """Count a request (handler threads; ``+=`` alone is not atomic)."""
-        with self._lock:
-            self.n_requests += 1
-        obs_metrics.counter("serve.requests").inc()
-        self.metrics.counter("serve.requests").inc()
+        """Count a request."""
+        self._write_metrics(lambda r: r.counter("serve.requests").inc())
 
     def record_error(self) -> None:
-        """Count a failed request (handler threads)."""
-        with self._lock:
-            self.n_errors += 1
-        obs_metrics.counter("serve.errors").inc()
-        self.metrics.counter("serve.errors").inc()
+        """Count a failed request."""
+        self._write_metrics(lambda r: r.counter("serve.errors").inc())
 
     def observe_http(
         self, endpoint: str, status: int, elapsed_s: float
     ) -> None:
-        """Feed one finished request into the latency/status instruments.
-
-        Writes to both the dedicated registry (always on, backs
-        ``/metrics``) and the process-global one (a no-op unless the
-        CLI installed a registry).
-        """
+        """Feed one finished request into the latency/status instruments."""
         status_class = f"{status // 100}xx"
-        for registry in (self.metrics, obs_metrics.get_registry()):
+
+        def write(registry) -> None:
             registry.histogram("serve.request_latency_s").observe(
                 elapsed_s
             )
@@ -446,18 +422,18 @@ class AssignmentService:
             elif status >= 400:
                 registry.counter("serve.errors_4xx").inc()
 
+        self._write_metrics(write)
+
     def health(self) -> dict[str, Any]:
         with self._lock:
             n_loaded = len(self._loaded)
-            n_requests = self.n_requests
-            n_errors = self.n_errors
         return {
             "status": "ok",
             "uptime_s": round(time.monotonic() - self._started, 3),
             "models_registered": len(self.registry.records()),
             "models_loaded": n_loaded,
-            "requests": n_requests,
-            "errors": n_errors,
+            "requests": int(self.metrics.counter("serve.requests").value),
+            "errors": int(self.metrics.counter("serve.errors").value),
             "drift": self.drift_status(),
             # counts() first: its "active" tally is superseded by the
             # full list of active alerts.
@@ -490,29 +466,20 @@ class AssignmentService:
             for slug in victims:
                 self._drift_flagged.pop(slug, None)
             n_loaded = len(self._loaded)
-        for model in dropped:
-            with model.lock:
-                if model.batcher is not None:
-                    model.batcher.close()
-                    model.batcher = None
+        _close_batchers(dropped)
         for slug in victims:
             self.quality.drop_fields(f"serve.{slug}.")
-        for registry in (self.metrics, obs_metrics.get_registry()):
+
+        def write(registry) -> None:
             registry.counter("serve.reloads").inc()
             registry.gauge("serve.models_loaded").set(n_loaded)
+
+        self._write_metrics(write)
         log.info(
             "hot-swapped models",
             extra=kv(models=",".join(victims) if victims else "(none)"),
         )
         return {"reloaded": victims, "models_loaded": n_loaded}
-
-    def models(self) -> list[dict[str, Any]]:
-        # lint: allow[DET002] age_s compares against stored epoch stamps
-        now = time.time()
-        return [
-            {**record.to_dict(), "age_s": round(record.age_s(now), 3)}
-            for record in self.registry.records()
-        ]
 
     def close(self) -> None:
         """Stop the alert loop, then drain every model's micro-batcher."""
@@ -521,278 +488,108 @@ class AssignmentService:
             self._evaluator = None
         with self._lock:
             loaded = list(self._loaded.values())
-        for model in loaded:
-            with model.lock:
-                if model.batcher is not None:
-                    model.batcher.close()
-                    model.batcher = None
+        _close_batchers(loaded)
 
 
-_ENDPOINT_SLUGS = {
-    "/assign": "assign",
-    "/healthz": "healthz",
-    "/models": "models",
-    "/metrics": "metrics",
-    "/reload": "reload",
-}
-
-# A well-formed trace id (16 lowercase hex chars, see obs.trace).  The
-# router forwards its per-request id in X-Trace-Id so worker spans and
-# error bodies join up with the front request; anything malformed is
-# ignored and a fresh id minted.
-_TRACE_ID_RE = re.compile(r"^[0-9a-f]{16}$")
+def _close_batchers(models: list[_LoadedModel]) -> None:
+    """Drain and detach each model's micro-batcher, if it has one."""
+    for model in models:
+        with model.lock:
+            if model.batcher is not None:
+                model.batcher.close()
+                model.batcher = None
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Request routing for :class:`ServeServer`."""
+class _Handler(JsonRequestHandler):
+    """Routes of :class:`ServeServer`, plus its sampled request span."""
 
-    protocol_version = "HTTP/1.1"
     server: "ServeServer"
 
-    # -- plumbing --------------------------------------------------------
-    def setup(self) -> None:
-        super().setup()
-        # Per-connection socket timeout: a stalled client cannot pin a
-        # handler thread (and block graceful shutdown) forever.
-        self.connection.settimeout(self.server.service.config.request_timeout_s)
-
-    def log_message(self, format: str, *args: Any) -> None:
-        log.debug("http " + format % args)
-
-    def _send_body(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Trace-Id", self._trace_id)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict | list,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self._send_body(
-            status,
-            json.dumps(payload).encode("utf-8"),
-            "application/json",
-            headers=headers,
+    @contextlib.contextmanager
+    def request_span(self) -> Iterator[None]:
+        service = self.server.service
+        if not should_sample(self._trace_id, service.config.trace_sample_rate):
+            yield
+            return
+        service._write_metrics(
+            lambda r: r.counter("serve.traces_sampled").inc()
         )
-
-    def _error(
-        self,
-        status: int,
-        message: str,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self.server.service.record_error()
-        self._send_json(
-            status,
-            {
-                "error": {
-                    "code": status,
-                    "message": message,
-                    "trace_id": self._trace_id,
-                }
-            },
-            headers=headers,
-        )
-
-    def _endpoint(self) -> str:
-        """Low-cardinality endpoint slug for per-endpoint instruments."""
-        return _ENDPOINT_SLUGS.get(self.path.split("?", 1)[0], "other")
+        with span(
+            "serve.request",
+            method=self.command,
+            path=self._path,
+            trace_id=self._trace_id,
+        ) as sp:
+            yield
+            sp.set(status=self._status)
 
     # -- routes ----------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle(self._route_get)
+    def _get_healthz(self) -> None:
+        self._send_json(200, self.server.service.health())
 
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle(self._route_post)
-
-    def _handle(self, route) -> None:
-        service = self.server.service
-        service.record_request()
-        incoming = self.headers.get("X-Trace-Id", "") if self.headers else ""
-        self._trace_id = (
-            incoming if _TRACE_ID_RE.match(incoming) else new_trace_id()
+    def _get_models(self) -> None:
+        self._send_json(
+            200, {"models": self.server.service.registry.models()}
         )
-        self._status = 500  # routes overwrite on every sent response
-        start = time.perf_counter()
-        try:
-            with use_trace_id(self._trace_id):
-                if should_sample(
-                    self._trace_id, service.config.trace_sample_rate
-                ):
-                    obs_metrics.counter("serve.traces_sampled").inc()
-                    service.metrics.counter("serve.traces_sampled").inc()
-                    with span(
-                        "serve.request",
-                        method=self.command,
-                        path=self.path.split("?", 1)[0],
-                        trace_id=self._trace_id,
-                    ) as sp:
-                        route()
-                        sp.set(status=self._status)
-                else:
-                    route()
-        except BrokenPipeError:
-            pass  # client went away; nothing to send
-        except Exception as exc:  # defensive: never kill the thread
-            log.error(
-                "unhandled serving error",
-                extra=kv(
-                    path=self.path,
-                    error=repr(exc),
-                    trace_id=self._trace_id,
-                ),
-            )
-            try:
-                self._error(500, f"internal error: {exc}")
-            # lint: allow[COR003] best-effort 500; the socket may be gone
-            except Exception:
-                pass
-        finally:
-            service.observe_http(
-                self._endpoint(),
-                self._status,
-                time.perf_counter() - start,
-            )
 
-    def _route_get(self) -> None:
-        path = self.path.split("?", 1)[0]
+    def _get_metrics(self) -> None:
         service = self.server.service
-        if path == "/healthz":
-            self._send_json(200, service.health())
-        elif path == "/models":
-            self._send_json(200, {"models": service.models()})
-        elif path == "/metrics":
-            text = render_prometheus(
-                service.metrics,
-                window_s=service.config.metrics_window_s,
-            )
-            self._send_body(
-                200,
-                text.encode("utf-8"),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        else:
-            self._error(404, f"unknown path {path!r}")
+        text = render_prometheus(
+            service.metrics, window_s=service.config.metrics_window_s
+        )
+        self._send_body(
+            200,
+            text.encode("utf-8"),
+            "text/plain; version=0.0.4; charset=utf-8",
+        )
 
-    def _route_post(self) -> None:
-        path = self.path.split("?", 1)[0]
+    def _post_assign(self) -> None:
         service = self.server.service
-        if path == "/reload":
-            self._route_reload()
-            return
-        if path != "/assign":
-            self._error(404, f"unknown path {path!r}")
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            self._error(400, "missing request body")
-            return
-        if length > service.config.max_body_bytes:
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{service.config.max_body_bytes}-byte limit",
-            )
-            return
-        try:
-            payload = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
-            self._error(400, f"invalid JSON body: {exc}")
-            return
+        payload, _ = self._read_json()
         try:
             response = service.assign_payload(payload)
         except ValueError as exc:
-            self._error(400, str(exc))
-            return
+            raise RequestError(400, str(exc)) from None
         except KeyError as exc:
-            self._error(404, str(exc).strip("'\""))
-            return
+            raise RequestError(404, str(exc).strip("'\"")) from None
         except (queue.Full, BatcherClosedError) as exc:
             # Backpressure (a saturated micro-batch queue) and shutdown
             # are retryable conditions, not internal errors: answer a
             # structured 503 with Retry-After instead of a generic 500.
-            service.metrics.counter("serve.queue_rejections").inc()
-            obs_metrics.counter("serve.queue_rejections").inc()
+            service._write_metrics(
+                lambda r: r.counter("serve.queue_rejections").inc()
+            )
             reason = (
                 "assignment queue is saturated"
                 if isinstance(exc, queue.Full)
                 else "assignment engine is shutting down"
             )
-            self._error(
-                503,
-                f"{reason}; retry shortly",
-                headers={"Retry-After": "1"},
-            )
-            return
+            raise RequestError(
+                503, f"{reason}; retry shortly", {"Retry-After": "1"}
+            ) from None
         response["trace_id"] = self._trace_id
         self._send_json(200, response)
 
-    def _route_reload(self) -> None:
+    def _post_reload(self) -> None:
         """``POST /reload``: hot-swap models (empty body reloads all)."""
-        service = self.server.service
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > service.config.max_body_bytes:
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{service.config.max_body_bytes}-byte limit",
-            )
-            return
-        slugs = None
-        if length > 0:
-            try:
-                payload = json.loads(self.rfile.read(length))
-            except json.JSONDecodeError as exc:
-                self._error(400, f"invalid JSON body: {exc}")
-                return
-            if not isinstance(payload, dict):
-                self._error(400, "reload body must be a JSON object")
-                return
-            slugs = payload.get("slugs")
-            if slugs is not None and (
-                not isinstance(slugs, list)
-                or not all(isinstance(s, str) for s in slugs)
-            ):
-                self._error(400, "'slugs' must be a list of model slugs")
-                return
-        response = service.reload(slugs)
+        response = self.server.service.reload(self._reload_slugs())
         response["trace_id"] = self._trace_id
         self._send_json(200, response)
 
+    get_routes = {
+        "/healthz": _get_healthz,
+        "/models": _get_models,
+        "/metrics": _get_metrics,
+    }
+    post_routes = {"/assign": _post_assign, "/reload": _post_reload}
 
-class ServeServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one :class:`AssignmentService`.
 
-    ``daemon_threads`` stays False and ``block_on_close`` True so
-    ``server_close`` joins in-flight handler threads -- shutdown drains
-    accepted requests instead of abandoning them.
-    """
-
-    daemon_threads = False
-    block_on_close = True
-    allow_reuse_address = True
+class ServeServer(JsonHTTPServer):
+    """Threading HTTP server bound to one :class:`AssignmentService`."""
 
     def __init__(self, address: tuple[str, int], service: AssignmentService):
         self.service = service
-        super().__init__(address, _Handler)
-
-    def server_close(self) -> None:
-        super().server_close()  # joins handler threads first
-        self.service.close()
+        super().__init__(address, service, _Handler)
 
 
 def build_server(

@@ -389,14 +389,11 @@ class StreamMonitor:
         # the same answer, so last-writer-wins is benign.
         found: tuple[str, dict] | None = None
         if self.registry is not None:
-            records = [
-                r
-                for r in self.registry.records()
-                if r.key.city == city and r.key.isp == isp
-            ]
-            if records:
-                latest = max(records, key=lambda r: r.created_s)
+            try:
+                latest = self.registry.resolve(city, isp)
                 found = (latest.key.slug, latest.training_stats)
+            except KeyError:
+                pass  # no registered model: the group never drifts
         with self._lock:
             self._baselines[key] = found
         return found

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -239,3 +241,108 @@ def test_shard_for_is_deterministic_and_total():
     assert shard_for("A", "MetroNet", 1) == 0
     with pytest.raises(ValueError, match="n_shards"):
         shard_for("A", "MetroNet", 0)
+
+
+# ---------------------------------------------------------------------------
+# resolve: the one "newest matching registration" rule
+# ---------------------------------------------------------------------------
+def test_resolve_sees_another_instances_registration(
+    tmp_path, fitted_a, catalog_a
+):
+    root = tmp_path / "models"
+    serving = ModelRegistry(root)
+    serving.register(serving.key_for("A", catalog_a), fitted_a)
+    assert serving.resolve(city="A").key.city == "A"  # index now memoized
+    with pytest.raises(KeyError):
+        serving.resolve(city="B")
+    # Another process registers through its own instance on the same root.
+    ModelRegistry(root).register(serving.key_for("B", catalog_a), fitted_a)
+    assert serving.resolve(city="B").key.city == "B"
+
+
+def test_memoized_index_still_detects_corruption(
+    registry, fitted_a, catalog_a
+):
+    registry.register(registry.key_for("A", catalog_a), fitted_a)
+    assert len(registry.records()) == 1
+    registry.index_path.write_bytes(b"\x00garbage{")
+    with pytest.raises(ValueError, match="corrupt registry index"):
+        registry.records()
+    with pytest.raises(ValueError, match="corrupt registry index"):
+        registry.resolve(city="A")
+
+
+def test_resolve_picks_newest_registration(registry, fitted_a, catalog_a):
+    default = registry.key_for("A", catalog_a)
+    binned = registry.key_for("A", catalog_a, BSTConfig(kde_method="binned"))
+    registry.register(default, fitted_a)
+    registry.register(binned, fitted_a)
+    assert registry.resolve(city="A").key == binned
+    registry.register(default, fitted_a)  # re-registration is newer
+    assert registry.resolve(city="A").key == default
+    assert registry.resolve(config_hash=binned.config_hash).key == binned
+
+
+def test_resolve_shard_filter_matches_shard_for(
+    registry, fitted_a, catalog_a
+):
+    from repro.serve.registry import shard_for
+
+    keys = [registry.key_for(c, catalog_a) for c in ("A", "B", "C", "D")]
+    for key in keys:
+        registry.register(key, fitted_a)
+    for key in keys:
+        owner = shard_for(key.city, key.isp, 2)
+        assert registry.resolve(city=key.city, shard=(owner, 2)).key == key
+        with pytest.raises(KeyError):
+            registry.resolve(city=key.city, shard=(1 - owner, 2))
+
+
+def test_resolve_miss_message(registry, fitted_a, catalog_a):
+    registry.register(registry.key_for("A", catalog_a), fitted_a)
+    with pytest.raises(KeyError) as err:
+        registry.resolve(city="Z", isp="MetroNet")
+    assert err.value.args[0] == (
+        "no registered model matches "
+        "city='Z' isp='MetroNet' config_hash=None"
+    )
+
+
+def test_concurrent_readers_never_see_the_index_go_back(
+    registry, fitted_a, catalog_a
+):
+    """Readers racing registrations see a consistent, growing index."""
+    registry.register(registry.key_for("A", catalog_a), fitted_a)
+    n_new = 12
+    done = threading.Event()
+    failures: list[str] = []
+
+    def reader() -> None:
+        seen = 0
+        try:
+            while not done.is_set():
+                records = registry.records()
+                slugs = [r.key.slug for r in records]
+                if len(records) < seen or slugs != sorted(slugs):
+                    failures.append(f"went from {seen} to {slugs}")
+                seen = len(records)
+                registry.resolve(city="A")
+        except Exception as exc:  # reported through `failures`
+            failures.append(repr(exc))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=reader) for _ in range(8)]
+    try:
+        for thread in threads:
+            thread.start()
+        for i in range(n_new):
+            registry.register(registry.key_for(f"C{i}", catalog_a), fitted_a)
+    finally:
+        done.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(registry.records()) == n_new + 1

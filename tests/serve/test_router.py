@@ -9,7 +9,10 @@ in the serving suite.
 
 from __future__ import annotations
 
+import json
 import threading
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.engine import TierAssigner
 from repro.serve.registry import ModelRegistry, shard_for
 from repro.serve.router import RouterConfig, build_router
+from repro.serve.server import ServeConfig, build_server
 from repro.vendors.ookla import OoklaSimulator
 
 N_WORKERS = 2
@@ -176,3 +180,110 @@ def test_reload_fans_out_to_owning_shard(fleet, tmp_path):
         client.reload([slug])
     back = client.assign(downs[:50].tolist(), ups[:50].tolist(), city="A")
     assert back["tiers"] == old_expected.tiers.tolist()
+
+
+def _post(base_url, path, body, headers=None):
+    """(status, headers, body) of one POST, error statuses included."""
+    request = urllib.request.Request(
+        base_url + path,
+        data=body,
+        headers={"Content-Type": "application/json", **(headers or {})},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=60) as response:
+            return response.status, response.headers, response.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.headers, exc.read()
+
+
+def test_router_honours_incoming_trace_id(fleet):
+    client, _, _ = fleet
+    trace_id = "00deadbeef00aa11"
+    body = json.dumps(
+        {"downloads": [110.0], "uploads": [5.5], "city": "A"}
+    ).encode()
+    status, headers, payload = _post(
+        client.base_url, "/assign", body, {"X-Trace-Id": trace_id}
+    )
+    assert status == 200
+    assert headers["X-Trace-Id"] == trace_id
+    assert json.loads(payload)["trace_id"] == trace_id
+    # A worker-side 400 relayed through the router carries the same id.
+    bad = json.dumps(
+        {"downloads": [float("nan")], "uploads": [1.0], "city": "A"}
+    ).encode()
+    status, headers, payload = _post(
+        client.base_url, "/assign", bad, {"X-Trace-Id": trace_id}
+    )
+    assert status == 400
+    assert headers["X-Trace-Id"] == trace_id
+    assert json.loads(payload)["error"]["trace_id"] == trace_id
+
+
+@pytest.fixture(scope="module")
+def single(fleet):
+    """A single-process server over the fleet's registry."""
+    _, router_server, _ = fleet
+    server = build_server(
+        ModelRegistry(router_server.router.registry.root),
+        ServeConfig(port=0, default_city="A", alert_interval_s=0),
+    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    yield ServeClient(f"http://{host}:{port}")
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+
+
+def _json_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON body: {exc}"
+    raise AssertionError(f"{text!r} is valid JSON")
+
+
+_UNKNOWN_CITY = json.dumps({"downloads": [1.0], "uploads": [1.0], "city": "Z"})
+ERROR_CASES = [
+    ("POST", "/assign", b"", 400, "missing request body"),
+    ("POST", "/assign", b"{not json", 400, _json_error("{not json")),
+    ("POST", "/assign", b"[1, 2]", 400, "request body must be a JSON object"),
+    ("GET", "/nope", None, 404, "unknown path '/nope'"),
+    ("POST", "/nope", b"{}", 404, "unknown path '/nope'"),
+    (
+        "POST", "/reload", b'{"slugs": [1, 2]}',
+        400, "'slugs' must be a list of model slugs",
+    ),
+    (
+        "POST", "/assign", _UNKNOWN_CITY.encode(),
+        404, "no registered model matches city='Z' isp=None config_hash=None",
+    ),
+]
+
+
+@pytest.mark.parametrize("target", ["single", "fleet"])
+@pytest.mark.parametrize(
+    "method,path,body,status,message",
+    ERROR_CASES,
+    ids=["empty", "non-json", "non-object", "get-404", "post-404",
+         "bad-slugs", "unknown-city"],
+)
+def test_error_envelope_parity(
+    request, target, method, path, body, status, message
+):
+    """The single server and the router answer bad input identically."""
+    fixture = request.getfixturevalue(target)
+    client = fixture if target == "single" else fixture[0]
+    req = urllib.request.Request(
+        client.base_url + path, data=body, method=method
+    )
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(req, timeout=60)
+    error = json.loads(err.value.read())["error"]
+    assert (err.value.code, error["code"], error["message"]) == (
+        status, status, message,
+    )
+    assert error["trace_id"] == err.value.headers["X-Trace-Id"]

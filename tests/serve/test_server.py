@@ -6,13 +6,16 @@ drives the real CLI in a subprocess and checks SIGTERM drains cleanly.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -240,3 +243,33 @@ def test_incoming_trace_id_is_honored(served):
         echoed = response.headers["X-Trace-Id"]
         assert re.fullmatch(r"[0-9a-f]{16}", echoed)
         assert echoed != "not-a-trace-id"
+
+
+def test_keepalive_requests_do_not_stall(served):
+    """Back-to-back requests on one keep-alive connection stay fast.
+
+    The handler sends headers and body separately; without TCP_NODELAY
+    Nagle's algorithm holds the body until the client's delayed ACK,
+    ~40 ms per request.
+    """
+    _, server = served
+    host, port = server.server_address[:2]
+    body = json.dumps({"downloads": [110.0], "uploads": [5.5]}).encode()
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    elapsed = []
+    try:
+        for _ in range(30):
+            start = time.perf_counter()
+            conn.request(
+                "POST",
+                "/assign",
+                body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            response.read()
+            elapsed.append(time.perf_counter() - start)
+            assert response.status == 200
+    finally:
+        conn.close()
+    assert statistics.median(elapsed) < 0.020, elapsed
