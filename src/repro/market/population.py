@@ -24,6 +24,8 @@ __all__ = [
     "PopulationConfig",
     "SubscriberPopulation",
     "PLATFORMS",
+    "categorical_cdf",
+    "sample_index",
     "default_city_config",
     "ookla_tier_group_weights",
     "mlab_tier_group_weights",
@@ -41,6 +43,31 @@ PLATFORMS = (
 RSSI_BIN_EDGES = ((-30.0, -20.0), (-50.0, -30.0), (-70.0, -50.0), (-88.0, -70.0))
 # Kernel-memory bins (GB) of Figure 9d, worst to best.
 MEMORY_BIN_EDGES = ((0.5, 2.0), (2.0, 4.0), (4.0, 6.0), (6.0, 12.0))
+
+
+def categorical_cdf(probs) -> np.ndarray:
+    """The normalised CDF ``rng.choice(k, p=probs)`` builds on every call.
+
+    Precompute it once and draw with :func:`sample_index`; the pair
+    consumes exactly the generator state ``rng.choice`` does.  The
+    probability checks ``rng.choice`` makes per call are made here, once.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("probabilities must be a non-empty 1-D sequence")
+    if not (p >= 0).all():
+        raise ValueError("probabilities must be non-negative")
+    if abs(p.sum() - 1.0) > np.sqrt(np.finfo(float).eps):
+        raise ValueError("probabilities do not sum to 1")
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sample_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One categorical draw: ``rng.choice(len(cdf), p=...)`` without the
+    per-call argument checks (one ``rng.random()``, then a search)."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 @dataclass(frozen=True)
@@ -163,8 +190,15 @@ class PopulationConfig:
             probs = getattr(self, name)
             if abs(sum(probs) - 1.0) > 1e-6:
                 raise ValueError(f"{name} must sum to 1, got {sum(probs)}")
+            # NaN fails this comparison too, as rng.choice rejects it.
+            if not all(p >= 0 for p in probs):
+                raise ValueError(f"{name} entries must be non-negative")
         if len(self.platform_mix) != len(PLATFORMS):
             raise ValueError("platform_mix must match PLATFORMS")
+        if len(self.rssi_bin_probs) != len(RSSI_BIN_EDGES):
+            raise ValueError("rssi_bin_probs must match RSSI_BIN_EDGES")
+        if len(self.memory_bin_probs) != len(MEMORY_BIN_EDGES):
+            raise ValueError("memory_bin_probs must match MEMORY_BIN_EDGES")
         if not 0 <= self.heavy_user_fraction <= 1:
             raise ValueError("heavy_user_fraction must be in [0, 1]")
 
@@ -207,6 +241,8 @@ class SubscriberPopulation:
         self.config = config or PopulationConfig()
         self.seed = seed
         self._tier_probs = self._build_tier_probs()
+        self._rssi_cdf = categorical_cdf(self.config.rssi_bin_probs)
+        self._memory_cdf = categorical_cdf(self.config.memory_bin_probs)
 
     def _build_tier_probs(self) -> dict[int, float]:
         """Per-plan-tier probabilities from group weights x within-group."""
@@ -299,22 +335,14 @@ class SubscriberPopulation:
         )
 
     def _sample_rssi(self, rng) -> float:
-        bin_index = int(
-            rng.choice(len(RSSI_BIN_EDGES), p=np.asarray(self.config.rssi_bin_probs))
-        )
-        lo, hi = RSSI_BIN_EDGES[bin_index]
+        lo, hi = RSSI_BIN_EDGES[sample_index(self._rssi_cdf, rng)]
         return float(rng.uniform(lo, hi))
 
     def _sample_memory(self, platform: str, rng) -> float:
         if platform.startswith("desktop") or platform == "web":
             # Desktops rarely hit the mobile kernel-memory ceiling.
             return float(rng.uniform(8.0, 32.0))
-        bin_index = int(
-            rng.choice(
-                len(MEMORY_BIN_EDGES), p=np.asarray(self.config.memory_bin_probs)
-            )
-        )
-        lo, hi = MEMORY_BIN_EDGES[bin_index]
+        lo, hi = MEMORY_BIN_EDGES[sample_index(self._memory_cdf, rng)]
         return float(rng.uniform(lo, hi))
 
     def _sample_test_count(self, rng) -> int:

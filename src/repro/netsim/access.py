@@ -47,7 +47,7 @@ def timeofday_factor(hour: int, rng: np.random.Generator | None = None) -> float
     base = 1.0 if hour < 6 else _DAYTIME_FACTOR
     if rng is None:
         return base
-    return float(np.clip(base + rng.normal(0.0, 0.02), 0.6, 1.0))
+    return min(max(base + rng.normal(0.0, 0.02), 0.6), 1.0)
 
 
 @dataclass(frozen=True)

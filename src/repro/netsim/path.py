@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.market.plans import Plan
 from repro.market.population import Subscriber
 from repro.netsim.access import AccessLink, timeofday_factor
 from repro.netsim.device import device_memory_cap_mbps
 from repro.netsim.latency import LatencyModel
+from repro.netsim.modem import ModemProfile, sample_modem
 from repro.netsim.tcp import (
     flow_throughput_mbps,
     saturation_efficiency,
@@ -168,6 +170,10 @@ class PathSimulator:
         # household's cable modem generation as an extra ceiling.
         self.model_modems = model_modems
         self.upstream_contention_prob = 0.03
+        # A household's link and modem depend only on its id, its plan
+        # and ``seed``: build each once, not on every test.
+        self._links: dict[tuple[str, Plan], AccessLink] = {}
+        self._modems: dict[str, ModemProfile] = {}
 
     def _upstream_contention_prob(self, profile: FlowProfile) -> float:
         """Single-flow tests lose more to a competing upstream flow --
@@ -178,18 +184,28 @@ class PathSimulator:
 
     # ------------------------------------------------------------------
     def access_link(self, subscriber: Subscriber) -> AccessLink:
-        """The subscriber's (deterministic) shaped access link."""
-        rng = _household_rng(subscriber.household.household_id, self.seed)
-        return AccessLink.for_household(subscriber.plan, rng)
+        """The subscriber's (deterministic) shaped access link.
 
-    def household_modem(self, subscriber: Subscriber):
+        Memoized on the id and the plan: separately generated batches
+        reuse ids, and a reused id on another plan needs its own link.
+        """
+        household_id = subscriber.household.household_id
+        key = (household_id, subscriber.plan)
+        link = self._links.get(key)
+        if link is None:
+            rng = _household_rng(household_id, self.seed)
+            link = AccessLink.for_household(subscriber.plan, rng)
+            self._links[key] = link
+        return link
+
+    def household_modem(self, subscriber: Subscriber) -> ModemProfile:
         """The household's (deterministic) cable modem generation."""
-        from repro.netsim.modem import sample_modem
-
-        rng = _household_rng(
-            subscriber.household.household_id, self.seed + 1
-        )
-        return sample_modem(rng)
+        household_id = subscriber.household.household_id
+        modem = self._modems.get(household_id)
+        if modem is None:
+            modem = sample_modem(_household_rng(household_id, self.seed + 1))
+            self._modems[household_id] = modem
+        return modem
 
     def sample_conditions(
         self,
@@ -203,12 +219,9 @@ class PathSimulator:
         contention = None
         if on_wifi:
             household = subscriber.household
-            rssi = float(
-                np.clip(
-                    household.rssi_mean_dbm + rng.normal(0.0, 5.0),
-                    -88.0,
-                    -20.0,
-                )
+            rssi = min(
+                max(household.rssi_mean_dbm + rng.normal(0.0, 5.0), -88.0),
+                -20.0,
             )
             contention = sample_contention_factor(household.band_ghz, rng)
         return TestConditions(

@@ -55,22 +55,27 @@ _PHY_TABLE_24GHZ = (
 _MAC_EFFICIENCY = {5.0: 0.62, 2.4: 0.55}
 
 
-def wifi_phy_rate_mbps(band_ghz: float, rssi_dbm: float) -> float:
-    """Negotiated PHY rate for a band/RSSI pair, via table interpolation."""
-    table = _table_for_band(band_ghz)
+def _ascending(table) -> tuple[np.ndarray, np.ndarray]:
+    """(rssis, rates) sorted by RSSI: np.interp needs ascending x."""
     rssis = np.asarray([row[0] for row in table])
     rates = np.asarray([row[1] for row in table])
-    # np.interp needs ascending x.
     order = np.argsort(rssis)
-    return float(np.interp(rssi_dbm, rssis[order], rates[order]))
+    return rssis[order], rates[order]
 
 
-def _table_for_band(band_ghz: float):
-    if band_ghz == 5.0:
-        return _PHY_TABLE_5GHZ
-    if band_ghz == 2.4:
-        return _PHY_TABLE_24GHZ
-    raise ValueError(f"unsupported WiFi band {band_ghz} GHz")
+_INTERP_TABLES = {
+    5.0: _ascending(_PHY_TABLE_5GHZ),
+    2.4: _ascending(_PHY_TABLE_24GHZ),
+}
+
+
+def wifi_phy_rate_mbps(band_ghz: float, rssi_dbm: float) -> float:
+    """Negotiated PHY rate for a band/RSSI pair, via table interpolation."""
+    try:
+        rssis, rates = _INTERP_TABLES[band_ghz]
+    except KeyError:
+        raise ValueError(f"unsupported WiFi band {band_ghz} GHz") from None
+    return float(np.interp(rssi_dbm, rssis, rates))
 
 
 def wifi_mac_efficiency(band_ghz: float) -> float:

@@ -178,7 +178,7 @@ class MBASimulator:
             for unit in units:
                 if emitted >= total:
                     break
-                month = int(rng.choice(MBA_MONTHS))
+                month = MBA_MONTHS[int(rng.integers(0, len(MBA_MONTHS)))]
                 hour = int(rng.integers(0, 24))  # panels test around the clock
                 outcome = self.path.run_test(unit, self.profile, hour, rng)
                 columns["unit_id"].append(unit.user_id)

@@ -133,9 +133,8 @@ class OoklaSimulator:
             # people test while debugging a problem, not uniformly.
             anchor_month = sample_test_month(rng)
             for _ in range(user.n_tests):
-                month = int(
-                    np.clip(anchor_month + rng.integers(-1, 2), 1, 12)
-                )
+                month = anchor_month + int(rng.integers(-1, 2))
+                month = min(max(month, 1), 12)
                 hour = sample_test_hour(rng)
                 outcome = self.path.run_test(user, self.profile, hour, rng)
                 is_android = user.platform == "android"

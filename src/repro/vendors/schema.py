@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.market.population import categorical_cdf, sample_index
+
 __all__ = [
     "OOKLA_COLUMNS",
     "MLAB_COLUMNS",
@@ -23,6 +25,7 @@ __all__ = [
 # 12-18, 18-24).  Figure 11: fewest tests overnight, most in the
 # afternoon/evening, with little variation across tiers.
 DIURNAL_BIN_WEIGHTS = (0.10, 0.25, 0.33, 0.32)
+_DIURNAL_CDF = categorical_cdf(DIURNAL_BIN_WEIGHTS)
 
 OOKLA_COLUMNS = (
     "test_id",
@@ -73,10 +76,8 @@ MBA_COLUMNS = (
 
 def sample_test_hour(rng: np.random.Generator) -> int:
     """Sample a local test hour from the diurnal profile of Figure 11."""
-    bin_index = int(
-        rng.choice(len(DIURNAL_BIN_WEIGHTS), p=np.asarray(DIURNAL_BIN_WEIGHTS))
-    )
-    return int(bin_index * 6 + rng.integers(0, 6))
+    bin_index = sample_index(_DIURNAL_CDF, rng)
+    return bin_index * 6 + int(rng.integers(0, 6))
 
 
 def sample_test_month(
@@ -90,4 +91,4 @@ def sample_test_month(
     allowed = [m for m in range(1, 13) if m not in excluded_months]
     if not allowed:
         raise ValueError("every month excluded")
-    return int(rng.choice(allowed))
+    return allowed[int(rng.integers(0, len(allowed)))]

@@ -5,13 +5,17 @@ import pytest
 
 from repro.market import SubscriberPopulation, city_catalog
 from repro.market.population import (
+    MEMORY_BIN_EDGES,
     PLATFORMS,
+    RSSI_BIN_EDGES,
     Household,
     PopulationConfig,
     Subscriber,
+    categorical_cdf,
     default_city_config,
     mlab_tier_group_weights,
     ookla_tier_group_weights,
+    sample_index,
 )
 
 
@@ -27,6 +31,29 @@ class TestConfig:
     def test_probs_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             PopulationConfig(rssi_bin_probs=(0.5, 0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "name, probs",
+        [
+            ("rssi_bin_probs", (-0.1, 0.5, 0.5, 0.1)),
+            ("memory_bin_probs", (0.2, -0.05, 0.25, 0.6)),
+            ("platform_mix", (0.3, 0.4, -0.2, 0.25, 0.25)),
+        ],
+    )
+    def test_negative_probability_rejected(self, name, probs):
+        assert sum(probs) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            PopulationConfig(**{name: probs})
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValueError):
+            PopulationConfig(rssi_bin_probs=(float("nan"), 0.5, 0.4, 0.1))
+
+    def test_bin_prob_lengths_checked(self):
+        with pytest.raises(ValueError, match="RSSI_BIN_EDGES"):
+            PopulationConfig(rssi_bin_probs=(0.5, 0.5))
+        with pytest.raises(ValueError, match="MEMORY_BIN_EDGES"):
+            PopulationConfig(memory_bin_probs=(0.2, 0.2, 0.2, 0.2, 0.2))
 
     def test_platform_mix_length_checked(self):
         with pytest.raises(ValueError):
@@ -142,3 +169,58 @@ class TestRecords:
         home = Household("h", "A", 1, plan, -50.0, 5.0)
         with pytest.raises(ValueError, match="test"):
             Subscriber("u", home, "android", "wifi", 4.0, 0)
+
+
+class TestDrawEquivalence:
+    """``sample_index`` over a precomputed CDF is ``rng.choice(k, p=...)``:
+    same index, and the generator state advances identically."""
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            PopulationConfig().rssi_bin_probs,
+            PopulationConfig().memory_bin_probs,
+            PopulationConfig().platform_mix,
+            (0.0, 0.5, 0.0, 0.5),
+            (1.0,),
+        ],
+    )
+    def test_matches_rng_choice(self, probs):
+        cdf = categorical_cdf(probs)
+        p = np.asarray(probs)
+        for seed in range(250):
+            ours = np.random.default_rng(seed)
+            theirs = np.random.default_rng(seed)
+            for _ in range(3):
+                assert sample_index(cdf, ours) == int(
+                    theirs.choice(len(probs), p=p)
+                )
+            assert ours.random() == theirs.random()
+
+    def test_population_bins_match_rng_choice(self, population):
+        cfg = population.config
+        for seed in range(200):
+            ours = np.random.default_rng(seed)
+            theirs = np.random.default_rng(seed)
+            rssi_bin = theirs.choice(4, p=np.asarray(cfg.rssi_bin_probs))
+            assert population._sample_rssi(ours) == float(
+                theirs.uniform(*RSSI_BIN_EDGES[rssi_bin])
+            )
+            memory_bin = theirs.choice(4, p=np.asarray(cfg.memory_bin_probs))
+            assert population._sample_memory("android", ours) == float(
+                theirs.uniform(*MEMORY_BIN_EDGES[memory_bin])
+            )
+            assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ((0.5, -0.1, 0.6), "non-negative"),
+            ((0.5, float("nan"), 0.5), "non-negative"),
+            ((0.5, 0.5, 0.1), "sum to 1"),
+            ((), "non-empty"),
+        ],
+    )
+    def test_cdf_makes_choice_checks(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            categorical_cdf(probs)

@@ -6,6 +6,9 @@ import pytest
 from repro.market import city_catalog
 from repro.market.population import Household, Subscriber
 from repro.netsim import FlowProfile, PathSimulator
+from repro.netsim import path as path_module
+from repro.netsim.access import AccessLink
+from repro.netsim.modem import sample_modem
 from repro.netsim.path import (
     MULTI_FLOW_PROFILE,
     SINGLE_FLOW_NDT_PROFILE,
@@ -199,3 +202,79 @@ class TestThroughput:
         assert outcome.upload_mbps > 0
         assert outcome.rtt_ms > 0
         assert 0 < outcome.loss_rate < 1
+
+
+class TestHouseholdMemo:
+    """Each household's link and modem are built once per simulator."""
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        calls = []
+        real = path_module._household_rng
+
+        def counting(household_id, salt):
+            calls.append((household_id, salt))
+            return real(household_id, salt)
+
+        monkeypatch.setattr(path_module, "_household_rng", counting)
+        return calls
+
+    def test_repeated_tests_reuse_one_link(self, monkeypatch):
+        calls = self._count_builds(monkeypatch)
+        sim = PathSimulator(seed=4)
+        user = _make_user(household_id="h-memo")
+        rng = np.random.default_rng(0)
+        for hour in (3, 12, 20):
+            sim.run_test(user, MULTI_FLOW_PROFILE, hour, rng)
+        assert calls == [("h-memo", 4)]
+        assert sim.access_link(user) is sim.access_link(user)
+
+    def test_repeated_tests_reuse_one_modem(self, monkeypatch):
+        calls = self._count_builds(monkeypatch)
+        sim = PathSimulator(seed=4, model_modems=True)
+        user = _make_user(
+            household_id="h-modem", platform="desktop-ethernet",
+            access="ethernet",
+        )
+        rng = np.random.default_rng(0)
+        for hour in (3, 12, 20):
+            sim.run_test(user, WIRED_PANEL_PROFILE, hour, rng)
+        assert sorted(calls) == [("h-modem", 4), ("h-modem", 5)]
+        modem = sim.household_modem(user)
+        assert modem is sim.household_modem(user)
+        assert modem == sample_modem(path_module._household_rng("h-modem", 5))
+
+    def test_same_id_new_plan_gets_its_own_link(self, sim):
+        low = _make_user(tier=2, household_id="h-shared")
+        high = _make_user(tier=5, household_id="h-shared")
+        sim.access_link(low)
+        link = sim.access_link(high)
+        expected = AccessLink.for_household(
+            high.plan, path_module._household_rng("h-shared", sim.seed)
+        )
+        assert link == expected
+        assert link.plan is high.plan
+        assert link.download_capacity_mbps != (
+            sim.access_link(low).download_capacity_mbps
+        )
+
+    def test_seeds_do_not_share_links(self):
+        user = _make_user(household_id="h-seeded")
+        sims = [PathSimulator(seed=s) for s in (0, 1)]
+        links = [sim.access_link(user) for sim in sims]
+        for seed, link in zip((0, 1), links):
+            assert link == AccessLink.for_household(
+                user.plan, path_module._household_rng("h-seeded", seed)
+            )
+        assert links[0].household_factor != links[1].household_factor
+
+    def test_warm_memo_draws_what_a_cold_simulator_draws(self):
+        user = _make_user(household_id="h-warm")
+        warm = PathSimulator(seed=2, model_modems=True)
+        warm.run_test(user, MULTI_FLOW_PROFILE, 9, np.random.default_rng(1))
+        cold = PathSimulator(seed=2, model_modems=True)
+        outcomes = [
+            sim.run_test(user, MULTI_FLOW_PROFILE, 9, np.random.default_rng(7))
+            for sim in (warm, cold)
+        ]
+        assert outcomes[0] == outcomes[1]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.vendors.mba import MBA_MONTHS
 from repro.vendors.schema import (
     DIURNAL_BIN_WEIGHTS,
     sample_test_hour,
@@ -45,3 +46,46 @@ def test_all_months_excluded():
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError):
         sample_test_month(rng, excluded_months=tuple(range(1, 13)))
+
+
+# The samplers replace rng.choice with the exact draw it makes; these pin
+# that equivalence (index and generator state) so a numpy change to
+# choice's internals fails here instead of shifting every output.
+
+
+def _hour_via_choice(rng):
+    p = np.asarray(DIURNAL_BIN_WEIGHTS)
+    bin_index = rng.choice(len(DIURNAL_BIN_WEIGHTS), p=p)
+    return int(bin_index * 6 + rng.integers(0, 6))
+
+
+def test_hour_draw_matches_rng_choice():
+    for seed in range(250):
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        for _ in range(3):
+            assert sample_test_hour(ours) == _hour_via_choice(theirs)
+        assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("excluded", [(), (9, 10), (1, 2, 3, 12)])
+def test_month_draw_matches_rng_choice(excluded):
+    allowed = [m for m in range(1, 13) if m not in excluded]
+    for seed in range(250):
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        for _ in range(3):
+            month = sample_test_month(ours, excluded_months=excluded)
+            assert month == int(theirs.choice(allowed))
+        assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("seq", [MBA_MONTHS, tuple(range(1, 13)), (7,)])
+def test_sequence_index_matches_rng_choice(seq):
+    for seed in range(250):
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        for _ in range(3):
+            index = int(ours.integers(0, len(seq)))
+            assert seq[index] == int(theirs.choice(seq))
+        assert ours.random() == theirs.random()
