@@ -27,11 +27,11 @@ cumulative-since-start values::
         0.95, window_s=60.0
     )
 
-Writes stay O(1): a bucket is lazily reset the first time a new tick
-lands in its slot, so there is no background sweeper thread.  Reads walk
-the ring (at most ``horizon_s / bucket_s`` slots).  Instruments accept
-an injectable ``clock`` callable (default ``time.monotonic``) so tests
-can drive window expiry deterministically.
+The ring is a :class:`repro.obs.window.TickRing`.  Writes stay O(1): a
+bucket is lazily reset the first time a new tick lands in its slot, so
+there is no background sweeper thread.  Reads walk the ring (300
+slots).  Instruments accept an injectable ``clock`` callable (default
+``time.monotonic``) so tests can drive window expiry deterministically.
 
 Naming convention: ``<module>.<quantity>`` (e.g. ``em.iterations``,
 ``kde.peaks_found``, ``ndt_join.unmatched``); see docs/OBSERVABILITY.md.
@@ -47,6 +47,8 @@ import time
 import zlib
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
+
+from repro.obs.window import TickRing
 
 __all__ = [
     "Counter",
@@ -71,122 +73,31 @@ WINDOW_BUCKET_S = 1.0
 DEFAULT_WINDOW_S = 60.0
 #: Per-bucket cap on retained raw samples for windowed quantiles.
 WINDOW_BUCKET_SAMPLES = 32
+_N_SLOTS = int(round(WINDOW_HORIZON_S / WINDOW_BUCKET_S))
 
 
-class _CounterRing:
-    """Ring of tick-stamped bucket sums backing ``Counter`` windows.
+class _Bucket:
+    """One histogram ring slot: exact count/total plus capped samples."""
 
-    Not itself locked: the owning instrument mutates it under its own
-    ``_lock``.  A slot is valid only while its stored tick matches the
-    tick that maps to it; stale slots are reset on write and skipped on
-    read, so idle periods cost nothing.
-    """
+    __slots__ = ("count", "total", "samples")
 
-    __slots__ = ("bucket_s", "n_buckets", "_sums", "_ticks", "_clock")
-
-    def __init__(
-        self,
-        bucket_s: float = WINDOW_BUCKET_S,
-        horizon_s: float = WINDOW_HORIZON_S,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        self.bucket_s = float(bucket_s)
-        self.n_buckets = max(1, int(round(horizon_s / self.bucket_s)))
-        self._sums = [0.0] * self.n_buckets
-        self._ticks = [-1] * self.n_buckets
-        self._clock = clock if clock is not None else time.monotonic
-
-    def add(self, amount: float) -> None:
-        tick = int(self._clock() / self.bucket_s)
-        slot = tick % self.n_buckets
-        if self._ticks[slot] != tick:
-            self._ticks[slot] = tick
-            self._sums[slot] = 0.0
-        self._sums[slot] += amount
-
-    def total(self, window_s: float) -> float:
-        """Sum of amounts recorded within the trailing ``window_s``."""
-        now_tick = int(self._clock() / self.bucket_s)
-        width = max(1, int(round(window_s / self.bucket_s)))
-        width = min(width, self.n_buckets)
-        lo = now_tick - width
-        return sum(
-            s
-            for s, t in zip(self._sums, self._ticks)
-            if lo < t <= now_tick
-        )
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.samples: list[float] = []
 
 
-class _HistogramRing:
-    """Ring of tick-stamped bucket summaries backing ``Histogram`` windows.
-
-    Each live bucket keeps an exact count/total plus a capped sample
-    list (:data:`WINDOW_BUCKET_SAMPLES`) from which windowed quantiles
-    are estimated.  Mutated only under the owning instrument's lock.
-    """
-
-    __slots__ = (
-        "bucket_s", "n_buckets", "sample_cap",
-        "_ticks", "_counts", "_totals", "_samples", "_clock",
-    )
-
-    def __init__(
-        self,
-        bucket_s: float = WINDOW_BUCKET_S,
-        horizon_s: float = WINDOW_HORIZON_S,
-        sample_cap: int = WINDOW_BUCKET_SAMPLES,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        self.bucket_s = float(bucket_s)
-        self.n_buckets = max(1, int(round(horizon_s / self.bucket_s)))
-        self.sample_cap = int(sample_cap)
-        self._ticks = [-1] * self.n_buckets
-        self._counts = [0] * self.n_buckets
-        self._totals = [0.0] * self.n_buckets
-        self._samples: list[list[float]] = [[] for _ in range(self.n_buckets)]
-        self._clock = clock if clock is not None else time.monotonic
-
-    def add(self, value: float, rng: random.Random) -> None:
-        tick = int(self._clock() / self.bucket_s)
-        slot = tick % self.n_buckets
-        if self._ticks[slot] != tick:
-            self._ticks[slot] = tick
-            self._counts[slot] = 0
-            self._totals[slot] = 0.0
-            self._samples[slot] = []
-        self._counts[slot] += 1
-        self._totals[slot] += value
-        samples = self._samples[slot]
-        if len(samples) < self.sample_cap:
-            samples.append(value)
-        else:
-            # Algorithm R within the bucket: keep a uniform sample.
-            pick = rng.randrange(self._counts[slot])
-            if pick < self.sample_cap:
-                samples[pick] = value
-
-    def collect(self, window_s: float) -> tuple[int, float, list[float]]:
-        """``(count, total, samples)`` for the trailing ``window_s``."""
-        now_tick = int(self._clock() / self.bucket_s)
-        width = max(1, int(round(window_s / self.bucket_s)))
-        width = min(width, self.n_buckets)
-        lo = now_tick - width
-        count = 0
-        total = 0.0
-        samples: list[float] = []
-        for slot in range(self.n_buckets):
-            t = self._ticks[slot]
-            if lo < t <= now_tick:
-                count += self._counts[slot]
-                total += self._totals[slot]
-                samples.extend(self._samples[slot])
-        return count, total, samples
+def _nearest_rank(sample: list[float], q: float) -> float:
+    """The ``q``-quantile of a sorted sample; ``nan`` when it is empty."""
+    if not sample:
+        return float("nan")
+    return sample[min(len(sample) - 1, max(0, round(q * (len(sample) - 1))))]
 
 
 class Counter:
     """Monotonically increasing count with an optional trailing window."""
 
-    __slots__ = ("name", "value", "_lock", "_ring")
+    __slots__ = ("name", "value", "_lock", "_ring", "_clock")
 
     def __init__(
         self,
@@ -197,7 +108,10 @@ class Counter:
         self.name = name
         self.value = 0.0
         self._lock = threading.Lock()
-        self._ring = _CounterRing(clock=clock) if windowed else None
+        self._ring = (
+            TickRing(_N_SLOTS, WINDOW_BUCKET_S, float) if windowed else None
+        )
+        self._clock = clock if clock is not None else time.monotonic
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -205,14 +119,14 @@ class Counter:
         with self._lock:
             self.value += amount
             if self._ring is not None:
-                self._ring.add(amount)
+                self._ring.add(self._clock(), amount)
 
     def window_sum(self, window_s: float = DEFAULT_WINDOW_S) -> float:
         """Amount added during the trailing ``window_s`` seconds."""
         with self._lock:
             if self._ring is None:
                 return 0.0
-            return self._ring.total(window_s)
+            return sum(self._ring.live(self._clock(), window_s))
 
     def rate(self, window_s: float = DEFAULT_WINDOW_S) -> float:
         """Increments per second over the trailing ``window_s``."""
@@ -250,7 +164,7 @@ class Histogram:
 
     __slots__ = (
         "name", "count", "total", "min", "max",
-        "_reservoir", "_rng", "_lock", "_wring",
+        "_reservoir", "_rng", "_lock", "_ring", "_clock",
     )
 
     def __init__(
@@ -267,7 +181,10 @@ class Histogram:
         self._reservoir: list[float] = []
         self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
         self._lock = threading.Lock()
-        self._wring = _HistogramRing(clock=clock) if windowed else None
+        self._ring = (
+            TickRing(_N_SLOTS, WINDOW_BUCKET_S, _Bucket) if windowed else None
+        )
+        self._clock = clock if clock is not None else time.monotonic
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -285,8 +202,33 @@ class Histogram:
                 slot = self._rng.randrange(self.count)
                 if slot < self.RESERVOIR_CAPACITY:
                     self._reservoir[slot] = value
-            if self._wring is not None:
-                self._wring.add(value, self._rng)
+            if self._ring is None:
+                return
+            bucket = self._ring.slot(self._clock())
+            bucket.count += 1
+            bucket.total += value
+            samples = bucket.samples
+            if len(samples) < WINDOW_BUCKET_SAMPLES:
+                samples.append(value)
+            else:
+                # Algorithm R within the bucket: keep a uniform sample.
+                pick = self._rng.randrange(bucket.count)
+                if pick < WINDOW_BUCKET_SAMPLES:
+                    samples[pick] = value
+
+    def _collect(self, window_s: float) -> tuple[int, float, list[float]]:
+        """``(count, total, samples)`` for the trailing ``window_s``."""
+        count = 0
+        total = 0.0
+        samples: list[float] = []
+        with self._lock:
+            if self._ring is None:
+                return count, total, samples
+            for bucket in self._ring.live(self._clock(), window_s):
+                count += bucket.count
+                total += bucket.total
+                samples.extend(bucket.samples)
+        return count, total, samples
 
     def window_snapshot(
         self, window_s: float = DEFAULT_WINDOW_S
@@ -297,47 +239,24 @@ class Histogram:
         quantiles are estimated from the per-bucket samples (exact while
         each bucket saw at most :data:`WINDOW_BUCKET_SAMPLES` values).
         """
-        with self._lock:
-            if self._wring is None:
-                count, total, samples = 0, 0.0, []
-            else:
-                count, total, samples = self._wring.collect(window_s)
+        count, total, samples = self._collect(window_s)
         samples.sort()
-
-        def q(frac: float) -> float:
-            if not samples:
-                return float("nan")
-            rank = min(
-                len(samples) - 1, max(0, round(frac * (len(samples) - 1)))
-            )
-            return samples[int(rank)]
-
         return {
             "count": float(count),
             "total": total,
             "mean": total / count if count else float("nan"),
             "min": samples[0] if samples else float("nan"),
             "max": samples[-1] if samples else float("nan"),
-            "p50": q(0.50),
-            "p95": q(0.95),
-            "p99": q(0.99),
+            "p50": _nearest_rank(samples, 0.50),
+            "p95": _nearest_rank(samples, 0.95),
+            "p99": _nearest_rank(samples, 0.99),
         }
 
     def window_percentile(
         self, q: float, window_s: float = DEFAULT_WINDOW_S
     ) -> float:
         """Estimated ``q``-quantile over the trailing ``window_s``."""
-        with self._lock:
-            if self._wring is None:
-                return float("nan")
-            _, _, samples = self._wring.collect(window_s)
-        if not samples:
-            return float("nan")
-        samples.sort()
-        rank = min(
-            len(samples) - 1, max(0, round(q * (len(samples) - 1)))
-        )
-        return samples[int(rank)]
+        return _nearest_rank(sorted(self._collect(window_s)[2]), q)
 
     @property
     def mean(self) -> float:
@@ -352,10 +271,7 @@ class Histogram:
         """
         with self._lock:
             sample = sorted(self._reservoir)
-        if not sample:
-            return float("nan")
-        rank = min(len(sample) - 1, max(0, round(q * (len(sample) - 1))))
-        return sample[int(rank)]
+        return _nearest_rank(sample, q)
 
     @property
     def p50(self) -> float:
@@ -722,7 +638,7 @@ def render_prometheus(
             )
         lines.append(f"{base}_sum {_prom_value(h.total)}")
         lines.append(f"{base}_count {_prom_value(h.count)}")
-        if h._wring is not None:
+        if h._ring is not None:
             snap = h.window_snapshot(window_s)
             lines.append(f"# TYPE {base}_window gauge")
             for q in ("0.5", "0.95", "0.99"):

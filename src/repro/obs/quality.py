@@ -7,8 +7,9 @@ speeds, a heavy tail the simulator never produced before).  This module
 watches the data as it flows:
 
 - :class:`FieldMonitor` — per-field streaming counters (NaN / negative /
-  zero / implausibly-large values), moment accumulators (mean/std via
-  running sums), min/max, and a bounded deterministic reservoir that
+  zero / implausibly-large values), Welford moments (mean/std, merged
+  per batch with :func:`repro.obs.window.combine`), min/max, and a
+  bounded deterministic reservoir that
   yields p50/p95/p99 and a tail ratio without retaining the stream.
 - :class:`QualityMonitor` — a session of field monitors plus
   tier-assignment health: the entropy of the assigned-tier distribution
@@ -38,6 +39,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 import numpy as np
+
+from repro.obs.window import EMPTY, combine, moments_of
 
 __all__ = [
     "FieldMonitor",
@@ -138,7 +141,7 @@ class FieldQuality:
 class FieldMonitor:
     """Streaming per-field quality accumulator.
 
-    O(1) state per field: counts, running first/second moments over the
+    O(1) state per field: counts, ``(n, mean, M2)`` moments over the
     finite values, min/max, and a capacity-bounded reservoir sample used
     for percentile estimates.  The reservoir RNG is seeded from the
     field name (CRC32), so the same stream of ``observe_array`` calls
@@ -153,8 +156,7 @@ class FieldMonitor:
         "n_negative",
         "n_zero",
         "n_outlier",
-        "_sum",
-        "_sumsq",
+        "_moments",
         "_min",
         "_max",
         "_reservoir",
@@ -173,8 +175,7 @@ class FieldMonitor:
         self.n_negative = 0
         self.n_zero = 0
         self.n_outlier = 0
-        self._sum = 0.0
-        self._sumsq = 0.0
+        self._moments = EMPTY
         self._min = float("inf")
         self._max = float("-inf")
         self._reservoir: list[float] = []
@@ -200,8 +201,7 @@ class FieldMonitor:
                 self.n_negative += int((finite < 0).sum())
                 self.n_zero += int((finite == 0).sum())
                 self.n_outlier += int((finite > self.outlier_above).sum())
-                self._sum += float(finite.sum())
-                self._sumsq += float(np.square(finite).sum())
+                self._moments = combine(self._moments, moments_of(finite))
                 self._min = min(self._min, float(finite.min()))
                 self._max = max(self._max, float(finite.max()))
                 self._fill_reservoir(finite)
@@ -235,11 +235,9 @@ class FieldMonitor:
     def snapshot(self) -> FieldQuality:
         """The current :class:`FieldQuality` view of this field."""
         with self._lock:
-            n_finite = self.count - self.n_nan
+            n_finite, mean, m2 = self._moments
             if n_finite > 0:
-                mean = self._sum / n_finite
-                var = max(self._sumsq / n_finite - mean * mean, 0.0)
-                std = math.sqrt(var)
+                std = math.sqrt(m2 / n_finite)
             else:
                 mean = std = float("nan")
             sorted_res = np.sort(np.asarray(self._reservoir, dtype=float))
@@ -284,9 +282,6 @@ class _NullQualityMonitor:
 
     def field(self, name: str, outlier_above: float = DEFAULT_OUTLIER_ABOVE):
         return _NULL_FIELD
-
-    def drop_fields(self, prefix: str) -> int:
-        return 0
 
     def observe_assignments(self, tiers: Any) -> None:
         pass
@@ -461,22 +456,6 @@ class QualityMonitor:
                     name, outlier_above=outlier_above
                 )
             return mon
-
-    def drop_fields(self, prefix: str) -> int:
-        """Forget every field monitor whose name starts with ``prefix``.
-
-        Serving uses this on model hot-swap: the per-model drift fields
-        must restart from scratch (``warming_up``) against the new
-        model's training stats instead of carrying the drifted history.
-        Returns the number of monitors dropped.
-        """
-        with self._lock:
-            victims = [
-                name for name in self._fields if name.startswith(prefix)
-            ]
-            for name in victims:
-                del self._fields[name]
-            return len(victims)
 
     def observe_assignments(self, tiers: Any) -> None:
         """Record a batch of per-measurement tier assignments."""

@@ -31,14 +31,15 @@ feed the ``serve.requests`` counter, the ``serve.errors`` (+ per-class
 per-endpoint / per-status-class latency histograms, into both the
 process-global registry (when observability is on) and a dedicated
 always-on :class:`~repro.obs.metrics.MetricsRegistry` that backs
-``/metrics``.  Incoming tuples also stream into a dedicated
-:class:`~repro.obs.quality.QualityMonitor`; the drift check compares
-each model's observed download/upload means against the
-``training_stats`` recorded at registration and flags models whose
-traffic has moved more than ``drift_rel_threshold`` (relative) after
-``drift_min_samples`` observations.  An :class:`~repro.obs.alerts.
-AlertEngine` evaluates declarative rules over the windowed metrics and
-the drift verdicts on a background loop.
+``/metrics``.  Assigned tuples also feed each loaded model's
+:class:`~repro.obs.window.WindowedMoments` over the trailing
+``metrics_window_s``; the drift check compares those windowed
+download/upload means against the ``training_stats`` recorded at
+registration (:func:`~repro.obs.window.drift_verdict`) and flags models
+whose recent traffic has moved more than ``drift_rel_threshold``
+(relative) once the window holds ``drift_min_samples`` observations.
+An :class:`~repro.obs.alerts.AlertEngine` evaluates declarative rules
+over the windowed metrics and the drift verdicts on a background loop.
 
 Shutdown is graceful: ``serve_until_shutdown`` installs
 SIGTERM/SIGINT handlers that stop the accept loop, then drains
@@ -68,8 +69,13 @@ from repro.obs.alerts import (
 )
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import MetricsRegistry, render_prometheus
-from repro.obs.quality import QualityMonitor
 from repro.obs.trace import should_sample, span
+from repro.obs.window import (
+    DIRECTIONS,
+    DriftFlags,
+    WindowedMoments,
+    drift_verdict,
+)
 from repro.serve.engine import (
     BatcherClosedError,
     MicroBatcher,
@@ -100,12 +106,14 @@ class ServeConfig:
     request_timeout_s: float = 10.0  # per-connection socket timeout
     max_body_bytes: int = 8 * 1024 * 1024  # request bodies above -> 413
     drift_rel_threshold: float = 0.5  # |obs - train| / train mean
-    drift_min_samples: int = 200  # observations before drift applies
+    # Drift is judged only once a window holds this many rows; a model
+    # serving fewer per metrics_window_s stays warming_up.
+    drift_min_samples: int = 200
     micro_batch: int = 256
     micro_flush_interval_s: float = 0.005
     micro_max_pending: int = 4096
     trace_sample_rate: float = 1.0  # fraction of requests spanned
-    metrics_window_s: float = 60.0  # window rendered by GET /metrics
+    metrics_window_s: float = 60.0  # GET /metrics and drift window
     alert_interval_s: float = 1.0  # evaluator period; <= 0 disables
     alert_log: str | None = None  # JSONL transition log path
     alert_rules_path: str | None = None  # JSON rules; None -> defaults
@@ -121,6 +129,7 @@ class _LoadedModel:
     key: ModelKey
     record: ModelRecord
     assigner: TierAssigner
+    moments: dict[str, WindowedMoments]  # drift window per direction
     lookup: QuantizedLookup | None = None  # verified quantized table
     batcher: MicroBatcher | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -131,19 +140,25 @@ class AssignmentService:
 
     Usable without HTTP (the CLI smoke test and the benchmark drive it
     directly): :meth:`assign_payload` implements the ``/assign``
-    contract over plain dicts.
+    contract over plain dicts.  ``clock`` times the drift windows, the
+    metrics windows and uptime; tests inject a fake one.
     """
 
-    def __init__(self, registry: ModelRegistry, config: ServeConfig):
+    def __init__(
+        self,
+        registry: ModelRegistry,
+        config: ServeConfig,
+        clock: Callable[[], float] = time.monotonic,
+    ):
         self.registry = registry
         self.config = config
+        self._clock = clock
         self._lock = threading.Lock()
         self._loaded: dict[str, _LoadedModel] = {}
-        # Dedicated monitor and registry: the service watches its own
-        # traffic even when global observability is off; the registry
-        # backs GET /metrics and the alert engine.
-        self.quality = QualityMonitor()
-        self.metrics = MetricsRegistry()
+        # Dedicated registry: the service watches its own traffic even
+        # when global observability is off; it backs GET /metrics and
+        # the alert engine.
+        self.metrics = MetricsRegistry(clock=clock)
         rules = (
             load_rules(config.alert_rules_path)
             if config.alert_rules_path
@@ -156,11 +171,11 @@ class AssignmentService:
             log_path=config.alert_log,
         )
         self._evaluator: AlertEvaluator | None = None
-        self._started = time.monotonic()
-        # Last drift verdict per model slug: serve.drift_flags counts
-        # only not-drifted -> drifted *transitions*, so its rate tracks
-        # drift events rather than /healthz or alert-loop polling.
-        self._drift_flagged: dict[str, bool] = {}
+        self._started = clock()
+        # serve.drift_flags counts only not-drifted -> drifted
+        # transitions, so its rate tracks drift events rather than
+        # /healthz or alert-loop polling.
+        self._drift_flags = DriftFlags()
         # Optional observer of successfully-assigned traffic, called as
         # tap(city, isp, downloads, uploads).  The stream lifecycle
         # (repro.stream.attach) points this at a StreamMonitor so live
@@ -226,8 +241,13 @@ class AssignmentService:
                     "persisted lookup table rejected; serving exact path",
                     extra=kv(model=key.slug, error=str(exc)),
                 )
+        window_s = self.config.metrics_window_s
         loaded = _LoadedModel(
-            key=key, record=record, assigner=assigner, lookup=lookup
+            key=key,
+            record=record,
+            assigner=assigner,
+            moments={d: WindowedMoments(window_s) for d in DIRECTIONS},
+            lookup=lookup,
         )
         with self._lock:
             # Another thread may have raced us; keep the first.
@@ -324,20 +344,17 @@ class AssignmentService:
         downloads: np.ndarray,
         uploads: np.ndarray,
     ) -> None:
-        slug = loaded.key.slug
-        self.quality.field(f"serve.{slug}.download_mbps").observe_array(
-            downloads
-        )
-        self.quality.field(f"serve.{slug}.upload_mbps").observe_array(
-            uploads
-        )
+        now = self._clock()
+        with loaded.lock:
+            for direction, values in zip(DIRECTIONS, (downloads, uploads)):
+                loaded.moments[direction].observe(now, values)
         tap = self.stream_tap
         if tap is not None:
             tap(loaded.key.city, loaded.key.isp, downloads, uploads)
 
     # -- drift -----------------------------------------------------------
     def drift_status(self) -> list[dict[str, Any]]:
-        """Per-loaded-model drift verdicts against training_stats.
+        """Per-loaded-model drift verdicts over the trailing window.
 
         Called by both ``/healthz`` and the background alert evaluator,
         so it must be poll-stable: ``serve.drift_flags`` (and the
@@ -346,38 +363,18 @@ class AssignmentService:
         """
         with self._lock:
             loaded = list(self._loaded.values())
+        now = self._clock()
         out = []
         for model in loaded:
-            directions = {}
-            drifted = False
-            for direction in ("download_mbps", "upload_mbps"):
-                train = model.record.training_stats.get(direction)
-                if not train or not train.get("mean"):
-                    continue
-                snap = self.quality.field(
-                    f"serve.{model.key.slug}.{direction}"
-                ).snapshot()
-                n_obs = snap.count - snap.n_nan
-                if n_obs < self.config.drift_min_samples:
-                    directions[direction] = {
-                        "status": "warming_up",
-                        "n_observed": n_obs,
-                    }
-                    continue
-                rel = abs(snap.mean - train["mean"]) / abs(train["mean"])
-                direction_drifted = rel > self.config.drift_rel_threshold
-                drifted = drifted or direction_drifted
-                directions[direction] = {
-                    "status": "drifted" if direction_drifted else "ok",
-                    "n_observed": n_obs,
-                    "observed_mean": snap.mean,
-                    "training_mean": train["mean"],
-                    "rel_deviation": rel,
-                }
-            with self._lock:
-                was_drifted = self._drift_flagged.get(model.key.slug, False)
-                self._drift_flagged[model.key.slug] = drifted
-            if drifted and not was_drifted:
+            with model.lock:
+                drifted, directions = drift_verdict(
+                    model.moments,
+                    now,
+                    model.record.training_stats,
+                    self.config.drift_rel_threshold,
+                    self.config.drift_min_samples,
+                )
+            if self._drift_flags.rose(model.key.slug, drifted):
                 self._write_metrics(
                     lambda r: r.counter("serve.drift_flags").inc()
                 )
@@ -429,7 +426,7 @@ class AssignmentService:
             n_loaded = len(self._loaded)
         return {
             "status": "ok",
-            "uptime_s": round(time.monotonic() - self._started, 3),
+            "uptime_s": round(self._clock() - self._started, 3),
             "models_registered": len(self.registry.records()),
             "models_loaded": n_loaded,
             "requests": int(self.metrics.counter("serve.requests").value),
@@ -451,10 +448,10 @@ class AssignmentService:
         In-flight requests keep the complete model object they already
         resolved (old *or* new, never torn); the next resolve reloads
         from the registry, whose cache is evicted here.  Per-model
-        drift state restarts from ``warming_up`` against the new
-        ``training_stats``, so a post-refit ``/healthz`` verdict
-        returns to ok instead of comparing fresh traffic with a stale
-        baseline.
+        drift state (the new model's empty window) restarts from
+        ``warming_up`` against the new ``training_stats``, so a
+        post-refit ``/healthz`` verdict returns to ok instead of
+        comparing fresh traffic with a stale baseline.
         """
         self.registry.evict_cache()
         with self._lock:
@@ -463,12 +460,10 @@ class AssignmentService:
             else:
                 victims = [s for s in slugs if s in self._loaded]
             dropped = [self._loaded.pop(s) for s in victims]
-            for slug in victims:
-                self._drift_flagged.pop(slug, None)
             n_loaded = len(self._loaded)
         _close_batchers(dropped)
         for slug in victims:
-            self.quality.drop_fields(f"serve.{slug}.")
+            self._drift_flags.forget(slug)
 
         def write(registry) -> None:
             registry.counter("serve.reloads").inc()
@@ -492,12 +487,16 @@ class AssignmentService:
 
 
 def _close_batchers(models: list[_LoadedModel]) -> None:
-    """Drain and detach each model's micro-batcher, if it has one."""
+    """Detach each model's micro-batcher, then drain it unlocked.
+
+    The drain runs outside ``model.lock`` so requests finishing on the
+    model (their ``_observe`` takes the lock) do not wait for it.
+    """
     for model in models:
         with model.lock:
-            if model.batcher is not None:
-                model.batcher.close()
-                model.batcher = None
+            batcher, model.batcher = model.batcher, None
+        if batcher is not None:
+            batcher.close()
 
 
 class _Handler(JsonRequestHandler):

@@ -3,13 +3,14 @@
 :class:`StreamMonitor` consumes :class:`~repro.stream.firehose.StreamBatch`
 micro-batches and maintains, per ``(city, isp)`` group:
 
-- **windowed moments** -- a ring of stream-time buckets holding Welford
-  ``(n, mean, M2)`` triples, merged with Chan's parallel update, so the
-  sliding-window mean/std costs O(buckets) to read and O(1) per batch to
-  write;
+- **windowed moments** -- :class:`repro.obs.window.WindowedMoments`, a
+  ring of stream-time buckets holding Welford ``(n, mean, M2)`` triples,
+  merged with Chan's parallel update, so the sliding-window mean/std
+  costs O(buckets) to read and O(1) per batch to write;
 - **windowed quantiles** -- the existing deterministic reservoir sketch
-  (:class:`repro.obs.quality.FieldMonitor`), rotated every window so the
-  p50/p95 reflect recent traffic rather than the whole stream;
+  (:class:`repro.obs.quality.FieldMonitor`) in a one-slot
+  :class:`~repro.obs.window.TickRing`, so it restarts every window and
+  the p50/p95 reflect recent traffic rather than the whole stream;
 - **a refit sample** -- a bounded ring of the most recent raw
   ``(download, upload)`` pairs, which is exactly the data a
   drift-triggered refit trains on (:mod:`repro.stream.scheduler`);
@@ -20,16 +21,18 @@ Windows are measured in *stream time* (event timestamps), not wall
 time, so a simulated run is deterministic; the injected ``clock`` is
 used only for the ``stream.lag_s`` gauge (how far monitoring trails the
 stream).  Drift verdicts compare the windowed mean against the serving
-registry's ``training_stats`` and are shaped exactly like
-``AssignmentService.drift_status()`` output, so the same
+registry's ``training_stats`` through the same
+:func:`repro.obs.window.drift_verdict` as
+``AssignmentService.drift_status()``, so the rows are shaped exactly
+alike (plus ``observed_p50``/``observed_p95``) and the same
 ``model_drift`` alert rule (:func:`repro.obs.alerts.default_serve_rules`)
 consumes either source.
 """
 
 from __future__ import annotations
 
-import math
 import threading
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -38,115 +41,19 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.quality import FieldMonitor
+from repro.obs.window import (
+    DIRECTIONS,
+    DriftFlags,
+    TickRing,
+    WindowedMoments,
+    drift_verdict,
+)
 from repro.serve.registry import ModelRegistry
 from repro.stream.firehose import StreamBatch
 
 __all__ = ["GroupStats", "StreamMonitor"]
 
 log = get_logger("repro.stream.monitor")
-
-_DIRECTIONS = ("download_mbps", "upload_mbps")
-
-# Buckets per sliding window: granularity of expiry, not of the stats.
-_N_BUCKETS = 12
-
-
-class _WindowedMoments:
-    """Sliding-window Welford moments over stream time.
-
-    A ring of ``_N_BUCKETS`` buckets each spanning ``window_s / n`` of
-    stream time and holding one ``(n, mean, M2)`` triple.  A batch is
-    folded into its bucket with Chan's parallel combine; a read merges
-    the non-expired buckets the same way.
-    """
-
-    __slots__ = ("bucket_s", "ticks", "n", "mean", "m2")
-
-    def __init__(self, window_s: float):
-        self.bucket_s = float(window_s) / _N_BUCKETS
-        self.ticks = np.full(_N_BUCKETS, -1, dtype=np.int64)
-        self.n = np.zeros(_N_BUCKETS, dtype=np.int64)
-        self.mean = np.zeros(_N_BUCKETS, dtype=float)
-        self.m2 = np.zeros(_N_BUCKETS, dtype=float)
-
-    @staticmethod
-    def _combine(
-        na: float, ma: float, m2a: float, nb: float, mb: float, m2b: float
-    ) -> tuple[float, float, float]:
-        n = na + nb
-        if n == 0:
-            return 0.0, 0.0, 0.0
-        delta = mb - ma
-        mean = ma + delta * nb / n
-        m2 = m2a + m2b + delta * delta * na * nb / n
-        return n, mean, m2
-
-    def observe(self, t_s: float, values: np.ndarray) -> None:
-        values = values[np.isfinite(values)]
-        if values.size == 0:
-            return
-        tick = int(t_s // self.bucket_s)
-        slot = tick % _N_BUCKETS
-        if self.ticks[slot] != tick:
-            self.ticks[slot] = tick
-            self.n[slot] = 0
-            self.mean[slot] = 0.0
-            self.m2[slot] = 0.0
-        nb = float(values.size)
-        mb = float(values.mean())
-        m2b = float(((values - mb) ** 2).sum())
-        n, mean, m2 = self._combine(
-            float(self.n[slot]), self.mean[slot], self.m2[slot], nb, mb, m2b
-        )
-        self.n[slot] = int(n)
-        self.mean[slot] = mean
-        self.m2[slot] = m2
-
-    def snapshot(self, now_s: float) -> tuple[int, float, float]:
-        """``(n, mean, std)`` over buckets still inside the window."""
-        tick = int(now_s // self.bucket_s)
-        n, mean, m2 = 0.0, 0.0, 0.0
-        for slot in range(_N_BUCKETS):
-            if self.ticks[slot] < 0 or self.ticks[slot] <= tick - _N_BUCKETS:
-                continue
-            n, mean, m2 = self._combine(
-                n, mean, m2, float(self.n[slot]), self.mean[slot],
-                self.m2[slot],
-            )
-        if n == 0:
-            return 0, float("nan"), float("nan")
-        std = math.sqrt(m2 / n) if n > 0 else float("nan")
-        return int(n), float(mean), float(std)
-
-
-class _RotatingReservoir:
-    """Window-rotated :class:`FieldMonitor` for recent-traffic quantiles."""
-
-    __slots__ = ("name", "window_s", "period", "current", "previous")
-
-    def __init__(self, name: str, window_s: float):
-        self.name = name
-        self.window_s = float(window_s)
-        self.period = -1
-        self.current = FieldMonitor(name)
-        self.previous: FieldMonitor | None = None
-
-    def observe(self, t_s: float, values: np.ndarray) -> None:
-        period = int(t_s // self.window_s)
-        if period != self.period:
-            self.previous = self.current if self.period >= 0 else None
-            self.current = FieldMonitor(self.name)
-            self.period = period
-        self.current.observe_array(values)
-
-    def percentiles(self) -> tuple[float, float]:
-        """``(p50, p95)`` of the freshest reservoir with data."""
-        mon = self.current
-        if mon.count == 0 and self.previous is not None:
-            mon = self.previous
-        snap = mon.snapshot()
-        return snap.p50, snap.p95
-
 
 class GroupStats:
     """All per-(city, isp) monitoring state (owned by StreamMonitor)."""
@@ -172,10 +79,13 @@ class GroupStats:
     def __init__(self, city: str, isp: str, window_s: float, cap: int):
         self.city = city
         self.isp = isp
-        self.moments = {d: _WindowedMoments(window_s) for d in _DIRECTIONS}
+        self.moments = {d: WindowedMoments(window_s) for d in DIRECTIONS}
+        # One slot per window period: the reservoir restarts each window.
         self.reservoirs = {
-            d: _RotatingReservoir(f"stream.{city}|{isp}.{d}", window_s)
-            for d in _DIRECTIONS
+            d: TickRing(
+                1, window_s, partial(FieldMonitor, f"stream.{city}|{isp}.{d}")
+            )
+            for d in DIRECTIONS
         }
         # Refit sample: bounded ring of the latest raw pairs.
         self.sample_down = np.zeros(cap, dtype=float)
@@ -187,47 +97,33 @@ class GroupStats:
         # Long-run vs windowed tier mix (upper-half-tier share).
         self.tier_n = 0
         self.tier_upper = 0
-        self.win_tier = _WindowedMoments(window_s)
+        self.win_tier = WindowedMoments(window_s)
         # Per-diurnal-bin long-run download mean for congestion onset.
         self.bin_stats: dict[int, tuple[int, float]] = {}
         self.median_tier: float | None = None
 
     def push_sample(self, downloads: np.ndarray, uploads: np.ndarray) -> None:
         cap = len(self.sample_down)
-        n = len(downloads)
-        if n >= cap:
-            self.sample_down[:] = downloads[-cap:]
-            self.sample_up[:] = uploads[-cap:]
-            self.sample_pos = 0
-            self.sample_len = cap
-            return
-        end = self.sample_pos + n
-        if end <= cap:
-            self.sample_down[self.sample_pos : end] = downloads
-            self.sample_up[self.sample_pos : end] = uploads
-        else:
-            head = cap - self.sample_pos
-            self.sample_down[self.sample_pos :] = downloads[:head]
-            self.sample_up[self.sample_pos :] = uploads[:head]
-            self.sample_down[: n - head] = downloads[head:]
-            self.sample_up[: n - head] = uploads[head:]
-        self.sample_pos = end % cap
+        n = min(len(downloads), cap)
+        pos = self.sample_pos
+        head = min(n, cap - pos)  # the rest wraps to the front
+        for ring, values in (
+            (self.sample_down, downloads[-n:]),
+            (self.sample_up, uploads[-n:]),
+        ):
+            ring[pos : pos + head] = values[:head]
+            ring[: n - head] = values[head:]
+        self.sample_pos = (pos + n) % cap
         self.sample_len = min(self.sample_len + n, cap)
 
     def sample(self) -> tuple[np.ndarray, np.ndarray]:
-        """The retained raw pairs, oldest first."""
-        if self.sample_len < len(self.sample_down):
-            return (
-                self.sample_down[: self.sample_len].copy(),
-                self.sample_up[: self.sample_len].copy(),
-            )
-        order = np.concatenate(
-            [
-                np.arange(self.sample_pos, len(self.sample_down)),
-                np.arange(0, self.sample_pos),
-            ]
+        """The retained raw pairs, oldest first (copies)."""
+        pos, n = self.sample_pos, self.sample_len
+        down, up = (
+            np.concatenate((ring[pos:n], ring[:pos]))
+            for ring in (self.sample_down, self.sample_up)
         )
-        return self.sample_down[order], self.sample_up[order]
+        return down, up
 
 
 class StreamMonitor:
@@ -247,9 +143,7 @@ class StreamMonitor:
     window_s:
         Sliding-window span, in *stream* seconds.
     drift_rel_threshold / min_samples:
-        A direction is drifted when the windowed mean deviates from the
-        training mean by more than the relative threshold, after at
-        least ``min_samples`` windowed events (mirrors
+        The :func:`~repro.obs.window.drift_verdict` rule (mirrors
         ``ServeConfig.drift_rel_threshold`` / ``drift_min_samples``).
     tier_shift_threshold:
         Absolute change in upper-half-tier share (windowed vs long-run)
@@ -290,8 +184,8 @@ class StreamMonitor:
         self._lock = threading.Lock()
         self._groups: dict[tuple[str, str], GroupStats] = {}
         self._baselines: dict[tuple[str, str], tuple[str, dict] | None] = {}
-        self._drift_flagged: dict[str, bool] = {}
-        self._active_disruptions: dict[tuple[str, str, str], dict] = {}
+        self._drift_flags = DriftFlags()
+        self._disruption_flags = DriftFlags()
         self.n_events = 0
         self.n_batches = 0
 
@@ -338,10 +232,9 @@ class StreamMonitor:
                 )
             group.n_events += int(downloads.size)
             group.last_t_s = max(group.last_t_s, float(t_s))
-            group.moments["download_mbps"].observe(t_s, downloads)
-            group.moments["upload_mbps"].observe(t_s, uploads)
-            group.reservoirs["download_mbps"].observe(t_s, downloads)
-            group.reservoirs["upload_mbps"].observe(t_s, uploads)
+            for direction, values in zip(DIRECTIONS, (downloads, uploads)):
+                group.moments[direction].observe(t_s, values)
+                group.reservoirs[direction].slot(t_s).observe_array(values)
             group.push_sample(downloads, uploads)
             if tiers is not None and len(tiers):
                 self._observe_tiers(group, t_s, np.asarray(tiers))
@@ -419,39 +312,19 @@ class StreamMonitor:
             if baseline is None:
                 continue
             slug, training_stats = baseline
-            directions: dict[str, Any] = {}
-            drifted = False
-            for direction in _DIRECTIONS:
-                train = training_stats.get(direction)
-                if not train or not train.get("mean"):
-                    continue
-                n, mean, std = group.moments[direction].snapshot(
-                    group.last_t_s
-                )
-                if n < self.min_samples:
-                    directions[direction] = {
-                        "status": "warming_up",
-                        "n_observed": n,
-                    }
-                    continue
-                rel = float(abs(mean - train["mean"]) / abs(train["mean"]))
-                p50, p95 = group.reservoirs[direction].percentiles()
-                direction_drifted = rel > self.drift_rel_threshold
-                drifted = bool(drifted or direction_drifted)
-                directions[direction] = {
-                    "status": "drifted" if direction_drifted else "ok",
-                    "n_observed": n,
-                    "observed_mean": mean,
-                    "observed_std": std,
-                    "observed_p50": p50,
-                    "observed_p95": p95,
-                    "training_mean": train["mean"],
-                    "relative_delta": rel,
-                }
-            with self._lock:
-                was = self._drift_flagged.get(slug, False)
-                self._drift_flagged[slug] = drifted
-            if drifted and not was:
+            drifted, directions = drift_verdict(
+                group.moments,
+                group.last_t_s,
+                training_stats,
+                self.drift_rel_threshold,
+                self.min_samples,
+            )
+            for direction, row in directions.items():
+                if row["status"] != "warming_up":
+                    snap = group.reservoirs[direction].latest().snapshot()
+                    row["observed_p50"] = snap.p50
+                    row["observed_p95"] = snap.p95
+            if self._drift_flags.rose(slug, drifted):
                 self._bump("stream.drift_flags", 1)
                 log.warning(
                     "stream traffic drifted from training distribution",
@@ -482,72 +355,61 @@ class StreamMonitor:
             groups = list(self._groups.values())
         events: list[dict[str, Any]] = []
         for group in groups:
-            events.extend(self._tier_shift(group))
-            events.extend(self._congestion(group))
-        active_keys = set()
-        with self._lock:
-            for event in events:
-                key = (event["city"], event["isp"], event["kind"])
-                active_keys.add(key)
-                if key not in self._active_disruptions:
-                    self._active_disruptions[key] = event
+            for kind, event in (
+                ("tier_shift", self._tier_shift(group)),
+                ("congestion", self._congestion(group)),
+            ):
+                key = (group.city, group.isp, kind)
+                if self._disruption_flags.rose(key, event is not None):
                     self._bump("stream.disruptions", 1)
                     log.warning(
                         "stream disruption detected",
-                        extra=kv(
-                            kind=event["kind"],
-                            group=f"{event['city']}|{event['isp']}",
-                        ),
+                        extra=kv(kind=kind, group=f"{group.city}|{group.isp}"),
                     )
-            for key in list(self._active_disruptions):
-                if key not in active_keys:
-                    del self._active_disruptions[key]
+                if event is not None:
+                    events.append(event)
         return events
 
-    def _tier_shift(self, group: GroupStats) -> list[dict[str, Any]]:
+    def _tier_shift(self, group: GroupStats) -> dict[str, Any] | None:
         if group.tier_n < self.min_samples:
-            return []
+            return None
         n, win_share, _ = group.win_tier.snapshot(group.last_t_s)
         if n < self.min_samples:
-            return []
+            return None
         longrun = group.tier_upper / group.tier_n
         delta = win_share - longrun
         if abs(delta) <= self.tier_shift_threshold:
-            return []
-        return [
-            {
-                "city": group.city,
-                "isp": group.isp,
-                "kind": "tier_shift",
-                "observed_share": win_share,
-                "longrun_share": longrun,
-                "delta": delta,
-            }
-        ]
+            return None
+        return {
+            "city": group.city,
+            "isp": group.isp,
+            "kind": "tier_shift",
+            "observed_share": win_share,
+            "longrun_share": longrun,
+            "delta": delta,
+        }
 
-    def _congestion(self, group: GroupStats) -> list[dict[str, Any]]:
+    def _congestion(self, group: GroupStats) -> dict[str, Any] | None:
         if group.last_t_s == float("-inf"):
-            return []
+            return None
         current_bin = int(((group.last_t_s / 3600.0) % 24.0) // 6)
         baseline = group.bin_stats.get(current_bin)
         if baseline is None or baseline[0] < self.min_samples:
-            return []
+            return None
         n, mean, _ = group.moments["download_mbps"].snapshot(group.last_t_s)
         if n < self.min_samples:
-            return []
+            return None
         floor = baseline[1] * (1.0 - self.congestion_drop_frac)
         if mean >= floor:
-            return []
-        return [
-            {
-                "city": group.city,
-                "isp": group.isp,
-                "kind": "congestion",
-                "observed_mean": mean,
-                "bin_mean": baseline[1],
-                "time_bin": current_bin,
-            }
-        ]
+            return None
+        return {
+            "city": group.city,
+            "isp": group.isp,
+            "kind": "congestion",
+            "observed_mean": mean,
+            "bin_mean": baseline[1],
+            "time_bin": current_bin,
+        }
 
     # -- refit support ---------------------------------------------------
     def recent_sample(

@@ -75,6 +75,19 @@ class TestFieldMonitor:
         assert a.count == b.count == 1000
         assert a.mean == pytest.approx(b.mean)
 
+    def test_std_survives_a_large_offset(self):
+        # sumsq/n - mean**2 cancels catastrophically at this offset; a
+        # Chan combine of (n, mean, M2) does not.
+        rng = np.random.default_rng(5)
+        batches = [1e9 + rng.standard_normal(1_000) for _ in range(10)]
+        field = QualityMonitor().field("offset")
+        for batch in batches:
+            field.observe_array(batch)
+        fq = field.snapshot()
+        values = np.concatenate(batches)
+        assert fq.mean == pytest.approx(values.mean(), rel=1e-15)
+        assert fq.std == pytest.approx(values.std(), rel=1e-6)
+
 
 class TestAssignmentsAndGroups:
     def test_tier_entropy(self):

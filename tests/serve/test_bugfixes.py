@@ -2,8 +2,9 @@
 
 Each test here failed against the pre-fix behaviour: a drift counter
 inflated by /healthz polling, a MicroBatcher close race that lost
-futures, drift statistics polluted by 400-rejected batches, and queue
-backpressure surfacing as a generic 500.
+futures, drift statistics polluted by 400-rejected batches, queue
+backpressure surfacing as a generic 500, and a drift verdict blunted by
+a lifetime mean.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from repro.serve.server import AssignmentService, ServeConfig, build_server
 
 
 @pytest.fixture
-def service(tmp_path, fitted_a, ookla_a, catalog_a):
-    """A fresh (non-HTTP) assignment service over a one-model registry."""
+def registry_a(tmp_path, fitted_a, ookla_a, catalog_a):
+    """A one-model registry whose record carries training stats."""
     registry = ModelRegistry(tmp_path / "registry")
     registry.register(
         registry.key_for("A", catalog_a),
@@ -35,8 +36,14 @@ def service(tmp_path, fitted_a, ookla_a, catalog_a):
         downloads=np.asarray(ookla_a["download_mbps"], dtype=float),
         uploads=np.asarray(ookla_a["upload_mbps"], dtype=float),
     )
+    return registry
+
+
+@pytest.fixture
+def service(registry_a):
+    """A fresh (non-HTTP) assignment service over a one-model registry."""
     svc = AssignmentService(
-        registry,
+        registry_a,
         ServeConfig(default_city="A", drift_min_samples=20),
     )
     yield svc
@@ -131,11 +138,15 @@ def test_assign_one_timeout_is_a_single_budget(fitted_a):
 # Fix 3: rejected batches must not pollute drift statistics
 # ---------------------------------------------------------------------------
 def test_rejected_batch_leaves_drift_stats_untouched(service):
-    loaded = service.resolve()
-    field = service.quality.field(
-        f"serve.{loaded.key.slug}.download_mbps"
-    )
-    before = field.snapshot().count
+    service.resolve()
+
+    def n_observed() -> int:
+        # Both directions: the NaN-download batch carries 500 finite
+        # uploads, which an observed rejection would add.
+        (row,) = service.drift_status()
+        return sum(d["n_observed"] for d in row["directions"].values())
+
+    before = n_observed()
     with pytest.raises(ValueError):
         service.assign_payload(
             {
@@ -147,10 +158,10 @@ def test_rejected_batch_leaves_drift_stats_untouched(service):
         service.assign_payload(
             {"downloads": [110.0, 120.0], "uploads": [5.5]}
         )
-    assert field.snapshot().count == before
+    assert n_observed() == before
     # A valid batch still observes.
     service.assign_payload({"downloads": [110.0], "uploads": [5.5]})
-    assert field.snapshot().count == before + 1
+    assert n_observed() == before + 2
 
 
 # ---------------------------------------------------------------------------
@@ -203,3 +214,68 @@ def test_saturated_queue_maps_to_503(tmp_path, fitted_a, ookla_a, catalog_a):
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
+
+
+# ---------------------------------------------------------------------------
+# Fix 5: drift compares recent traffic, not the lifetime mean
+# ---------------------------------------------------------------------------
+class _FakeClock:
+    """A monotonic clock the test sets by hand."""
+
+    def __init__(self) -> None:
+        self.t = 0.0
+
+    def __call__(self) -> float:
+        return self.t
+
+
+def test_drift_is_windowed_not_lifetime(registry_a):
+    clock = _FakeClock()
+    config = ServeConfig(default_city="A", drift_min_samples=20)
+    service = AssignmentService(registry_a, config, clock=clock)
+    try:
+        train = service.resolve().record.training_stats
+        down = train["download_mbps"]["mean"]
+        up = train["upload_mbps"]["mean"]
+        service.assign_payload(
+            {"downloads": [down] * 5_000, "uploads": [up] * 5_000}
+        )
+        assert not any(row["drifted"] for row in service.drift_status())
+        # The good traffic ages out of the window; 20 rows at 20x the
+        # training means are then all the window holds.  A lifetime
+        # mean would move only ~7.6% and miss the drift.
+        clock.t = config.metrics_window_s + 1.0
+        service.assign_payload(
+            {"downloads": [20 * down] * 20, "uploads": [20 * up] * 20}
+        )
+        (row,) = service.drift_status()
+        assert row["drifted"]
+        for direction in ("download_mbps", "upload_mbps"):
+            assert row["directions"][direction]["status"] == "drifted"
+            assert row["directions"][direction]["n_observed"] == 20
+    finally:
+        service.close()
+
+
+def test_drift_needs_min_samples_per_window(registry_a):
+    """Slow traffic is never judged: each window holds too few rows."""
+    clock = _FakeClock()
+    config = ServeConfig(default_city="A", drift_min_samples=20)
+    service = AssignmentService(registry_a, config, clock=clock)
+    try:
+        train = service.resolve().record.training_stats
+        down = 20 * train["download_mbps"]["mean"]
+        up = 20 * train["upload_mbps"]["mean"]
+        # 10 drifted rows per window, 5 windows: 50 rows in all, never
+        # 20 inside one window.
+        for k in range(5):
+            clock.t = k * config.metrics_window_s
+            service.assign_payload(
+                {"downloads": [down] * 10, "uploads": [up] * 10}
+            )
+            (row,) = service.drift_status()
+            assert not row["drifted"]
+            for stats in row["directions"].values():
+                assert stats == {"status": "warming_up", "n_observed": 10}
+    finally:
+        service.close()

@@ -5,9 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.window import WindowedMoments
 from repro.serve.registry import ModelRegistry
+from repro.serve.server import AssignmentService, ServeConfig
 from repro.stream.firehose import MeasurementStream
-from repro.stream.monitor import GroupStats, StreamMonitor, _WindowedMoments
+from repro.stream.monitor import GroupStats, StreamMonitor
 from repro.stream.run import warmup_and_register
 
 
@@ -35,7 +38,7 @@ def _fresh_stream(**kwargs) -> MeasurementStream:
 class TestWindowedMoments:
     def test_matches_numpy_inside_window(self):
         rng = np.random.default_rng(3)
-        moments = _WindowedMoments(window_s=60.0)
+        moments = WindowedMoments(window_s=60.0)
         values = rng.normal(50.0, 10.0, 900).reshape(9, 100)
         for i, chunk in enumerate(values):
             moments.observe(float(i * 5), chunk)
@@ -46,7 +49,7 @@ class TestWindowedMoments:
         assert std == pytest.approx(float(flat.std()))
 
     def test_old_buckets_expire(self):
-        moments = _WindowedMoments(window_s=60.0)
+        moments = WindowedMoments(window_s=60.0)
         moments.observe(0.0, np.full(100, 10.0))
         moments.observe(100.0, np.full(50, 99.0))
         n, mean, _ = moments.snapshot(100.0)
@@ -54,7 +57,7 @@ class TestWindowedMoments:
         assert mean == pytest.approx(99.0)
 
     def test_empty_snapshot_is_nan(self):
-        n, mean, std = _WindowedMoments(60.0).snapshot(0.0)
+        n, mean, std = WindowedMoments(60.0).snapshot(0.0)
         assert n == 0
         assert np.isnan(mean) and np.isnan(std)
 
@@ -119,7 +122,7 @@ class TestVerdicts:
         assert verdict["drifted"]
         down = verdict["directions"]["download_mbps"]
         assert down["status"] == "drifted"
-        assert down["relative_delta"] > 0.5
+        assert down["rel_deviation"] > 0.5
         assert down["n_observed"] >= 200
         assert down["observed_p95"] > down["observed_p50"] > 0
 
@@ -133,8 +136,12 @@ class TestVerdicts:
 
     def test_drift_flag_counts_transitions_only(self, registered):
         registry, _ = registered
+        metrics = MetricsRegistry()
         monitor = StreamMonitor(
-            registry=registry, window_s=30.0, min_samples=100
+            registry=registry,
+            metrics=metrics,
+            window_s=30.0,
+            min_samples=100,
         )
         stream = _fresh_stream()
         for batch in stream.batches(6):
@@ -146,9 +153,67 @@ class TestVerdicts:
         before = monitor.verdicts()
         again = monitor.verdicts()
         assert before[0]["drifted"] and again[0]["drifted"]
-        # The internal transition map holds, so repeated polls do not
-        # re-count the same breach.
-        assert monitor._drift_flagged[before[0]["model"]] is True
+        # Repeated polls do not re-count the same breach.
+        assert metrics.counter("stream.drift_flags").value == 1
+
+
+class TestServeParity:
+    def test_serve_window_and_stream_agree(self, registered):
+        """One seeded (t, downloads, uploads) sequence, two drift views."""
+        registry, record = registered
+        window_s, min_samples, threshold = 30.0, 150, 0.5
+        now = [0.0]
+        service = AssignmentService(
+            registry,
+            ServeConfig(
+                default_city="A",
+                metrics_window_s=window_s,
+                drift_min_samples=min_samples,
+                drift_rel_threshold=threshold,
+            ),
+            clock=lambda: now[0],
+        )
+        monitor = StreamMonitor(
+            registry=registry,
+            window_s=window_s,
+            min_samples=min_samples,
+            drift_rel_threshold=threshold,
+        )
+        key = record.key
+        train = record.training_stats
+        rng = np.random.default_rng(21)
+        seen = set()
+        try:
+            loaded = service.resolve(key.city, key.isp)
+            for step in range(120):
+                # Long gaps empty the window; the middle third drifts.
+                now[0] += float(rng.choice([0.5, 2.0, 2.0, 45.0]))
+                scale = 0.3 if 40 <= step < 80 else 1.0
+                n = int(rng.integers(10, 90))
+                downs = train["download_mbps"]["mean"] * scale * (
+                    rng.lognormal(0.0, 0.3, n)
+                )
+                ups = train["upload_mbps"]["mean"] * scale * (
+                    rng.lognormal(0.0, 0.3, n)
+                )
+                service._observe(loaded, downs, ups)
+                monitor.observe_arrays(
+                    key.city, key.isp, downs, ups, t_s=now[0]
+                )
+                (served,) = service.drift_status()
+                (streamed,) = monitor.verdicts()
+                assert served["drifted"] == streamed["drifted"]
+                for direction, row in served["directions"].items():
+                    other = streamed["directions"][direction]
+                    for name in (
+                        "status", "n_observed", "observed_mean",
+                        "rel_deviation",
+                    ):
+                        assert row.get(name) == other.get(name), name
+                    seen.add(row["status"])
+        finally:
+            service.close()
+        assert seen == {"warming_up", "ok", "drifted"}
 
 
 class TestRebaseline:
@@ -204,7 +269,10 @@ class TestDisruptions:
         assert congestion["time_bin"] == 0
 
     def test_disruptions_count_transitions_only(self):
-        monitor = StreamMonitor(window_s=10.0, min_samples=100)
+        metrics = MetricsRegistry()
+        monitor = StreamMonitor(
+            metrics=metrics, window_s=10.0, min_samples=100
+        )
         hours = np.zeros(400, dtype=np.int64)
         monitor.observe_arrays(
             "A", "ISP-A", np.full(400, 100.0), np.full(400, 10.0),
@@ -217,8 +285,8 @@ class TestDisruptions:
         first = monitor.disruptions()
         second = monitor.disruptions()
         assert len(first) == len(second) == 1
-        key = ("A", "ISP-A", "congestion")
-        assert key in monitor._active_disruptions
+        assert first[0]["kind"] == "congestion"
+        assert metrics.counter("stream.disruptions").value == 1
 
 
 class TestRecentSample:
