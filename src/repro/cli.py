@@ -282,17 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--refit", action="store_true",
-        help="attach the online lifecycle: tap served traffic into a "
-             "drift monitor and hot-swap refitted models via /reload "
-             "(see docs/STREAMING.md)",
+        help="refit models whose /healthz drift verdict holds, on their "
+             "own served rows, and hot-swap them (each worker refits its "
+             "shard; see docs/STREAMING.md)",
     )
     serve.add_argument(
         "--refit-interval", type=float, default=5.0, metavar="SECONDS",
         help="drift-poll period of the refit scheduler (with --refit)",
-    )
-    serve.add_argument(
-        "--refit-window", type=float, default=60.0, metavar="SECONDS",
-        help="sliding stats window of the drift monitor (with --refit)",
     )
     _add_seed(serve)
     serve.set_defaults(func=_cmd_serve)
@@ -712,6 +708,9 @@ def _cmd_serve(args) -> int:
                 default_city=args.city,
                 worker_quantized=args.quantized,
                 worker_trace_sample=args.trace_sample,
+                refit_interval_s=args.refit_interval if args.refit else 0.0,
+                refit_jobs=args.jobs,
+                refit_ledger=args.resolved_ledger,
             ),
         )
     else:
@@ -729,15 +728,14 @@ def _cmd_serve(args) -> int:
             ),
         )
     scheduler = None
-    if args.refit:
+    if args.refit and args.workers <= 1:
         from repro.stream.attach import attach_refit
 
-        _, scheduler = attach_refit(
-            server,
+        scheduler = attach_refit(
+            server.service,
             interval_s=args.refit_interval,
-            window_s=args.refit_window,
             jobs=args.jobs,
-            ledger_path=None if args.no_ledger else (args.ledger or "auto"),
+            ledger_path=args.resolved_ledger,
         )
     host, port = server.server_address[:2]
     # The smoke test and tooling parse this line to find the bound port.

@@ -2,14 +2,14 @@
 
 ROADMAP item 1 calls for disruption detection on the live serving
 stream; this module is the rule layer over the windowed instruments in
-:mod:`repro.obs.metrics` and ``AssignmentService.drift_status()``.  A
+:mod:`repro.obs.metrics` and ``AssignmentService.verdicts()``.  A
 rule names a metric and a predicate; the engine evaluates every rule
 against the current window and drives a firing → resolved lifecycle
 with optional hold times so flapping signals do not page::
 
     rules = default_serve_rules()
     engine = AlertEngine(rules, registry=service.metrics,
-                         drift_provider=service.drift_status,
+                         drift_provider=service.verdicts,
                          log_path="results/alerts.jsonl")
     engine.evaluate()           # one pass; or AlertEvaluator(engine)
     engine.active()             # currently-firing alerts
@@ -27,7 +27,7 @@ Rule kinds:
     surges, e.g. throughput falling off a cliff).
 ``drift``
     Compare the number of drifted models reported by the engine's
-    ``drift_provider`` (``AssignmentService.drift_status()``) against
+    ``drift_provider`` (``AssignmentService.verdicts()``) against
     a constant.
 
 Transitions append JSON lines to ``log_path`` and bump the

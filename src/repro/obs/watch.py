@@ -63,7 +63,6 @@ def take_snapshot(client: Any) -> dict[str, Any]:
             "events_total": _sample(series, "stream_events_total"),
             "events_rate": _sample(series, "stream_events_rate"),
             "lag_s": _sample(series, "stream_lag_s"),
-            "drifted_models": _sample(series, "stream_drifted_models"),
             "active_refits": _sample(series, "stream_active_refits"),
             "refits_total": _sample(series, "stream_refits_total"),
             "refit_failures_total": _sample(
@@ -84,7 +83,13 @@ def take_snapshot(client: Any) -> dict[str, Any]:
         "errors_5xx_rate": _sample(series, "serve_errors_5xx_rate"),
         "latency": latency,
         "models_loaded": health.get("models_loaded", 0),
-        "drift": health.get("drift", []),
+        # A router's /healthz nests each worker's drift rows.
+        "drift": health.get("drift")
+        or [
+            row
+            for worker in health.get("workers", [])
+            for row in worker.get("drift", [])
+        ],
         "alerts": health.get("alerts", {}),
         "stream": stream,
     }
@@ -126,17 +131,19 @@ def render_snapshot(snap: dict[str, Any]) -> str:
     stream = snap.get("stream")
     if stream is not None:
         # The panel appears only when the server actually emits
-        # stream.* metrics (repro serve --refit / repro stream run).
-        lines.append(
-            f"stream     events={_num(stream['events_total'])} "
-            f"rate={_num(stream['events_rate'], '/s')} "
-            f"lag={_num(stream['lag_s'], 's')}"
-        )
+        # stream.* metrics (repro serve --refit / repro stream run);
+        # event counts exist only where a StreamMonitor ingests.
+        if not math.isnan(stream["events_total"]):
+            lines.append(
+                f"stream     events={_num(stream['events_total'])} "
+                f"rate={_num(stream['events_rate'], '/s')} "
+                f"lag={_num(stream['lag_s'], 's')}"
+            )
         lines.append(
             f"lifecycle  refits={_num(stream['refits_total'])} "
             f"failed={_num(stream['refit_failures_total'])} "
             f"active={_num(stream['active_refits'])} "
-            f"drifted={_num(stream['drifted_models'])} "
+            f"drifted={len(drifted)} "
             f"reloads={_num(stream['reloads_total'])} "
             f"swap_p95={_num(stream['refit_p95_s'], 's')}"
         )

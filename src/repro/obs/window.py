@@ -3,7 +3,9 @@
 Every trailing-window view in the package is a :class:`TickRing`: the
 windowed counters and histograms (:mod:`repro.obs.metrics`), the stream
 monitor's moments and reservoir (:mod:`repro.stream.monitor`), and each
-served model's drift window (:mod:`repro.serve.server`).  Moments are
+served model's drift window (:mod:`repro.serve.server`).  A
+:class:`PairRing` keeps the latest raw ``(download, upload)`` pairs,
+the sample a drift-triggered refit trains on.  Moments are
 Welford ``(n, mean, M2)`` triples merged with Chan's combine, which
 stays exact where ``sumsq / n - mean**2`` cancels.  One
 :func:`drift_verdict` serves ``/healthz``, the ``model_drift`` alert
@@ -26,6 +28,7 @@ __all__ = [
     "DIRECTIONS",
     "DriftFlags",
     "Moments",
+    "PairRing",
     "TickRing",
     "WindowedMoments",
     "combine",
@@ -110,6 +113,39 @@ class TickRing:
             for value, tick in zip(self.values, self.ticks)
             if lo < tick <= now
         ]
+
+
+class PairRing:
+    """Bounded ring of the latest ``(download, upload)`` pairs.
+
+    A push keeps the tail of a batch that outgrows the ring.
+    """
+
+    __slots__ = ("_rings", "_pos", "_len")
+
+    def __init__(self, cap: int = 8192) -> None:
+        if cap < 1:
+            raise ValueError("cap must be >= 1")
+        self._rings = (np.zeros(cap), np.zeros(cap))
+        self._pos = 0
+        self._len = 0
+
+    def push(self, downloads: np.ndarray, uploads: np.ndarray) -> None:
+        cap = len(self._rings[0])
+        n = min(len(downloads), cap)
+        pos = self._pos
+        head = min(n, cap - pos)  # the rest wraps to the front
+        for ring, values in zip(self._rings, (downloads[-n:], uploads[-n:])):
+            ring[pos : pos + head] = values[:head]
+            ring[: n - head] = values[head:]
+        self._pos = (pos + n) % cap
+        self._len = min(self._len + n, cap)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The retained ``(downloads, uploads)``, oldest first (copies)."""
+        pos, n = self._pos, self._len
+        down, up = (np.concatenate((r[pos:n], r[:pos])) for r in self._rings)
+        return down, up
 
 
 def moments_of(values: np.ndarray) -> Moments:

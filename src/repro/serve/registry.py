@@ -40,6 +40,7 @@ byte.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import mmap
@@ -250,8 +251,9 @@ class ModelRegistry:
 
     Thread-safe: index read-modify-write and cache mutation run under
     one lock.  Multiple registries may point at the same root (e.g. a
-    server and a batch CLI); content addressing keeps concurrent
-    registration of identical fits idempotent.
+    server and a batch CLI, or several workers' refit schedulers): the
+    index read-modify-write also holds a ``flock`` on ``index.lock``,
+    and content addressing keeps identical registrations idempotent.
     """
 
     def __init__(
@@ -342,9 +344,11 @@ class ModelRegistry:
                 if not obj_path.exists():
                     _atomic_write(obj_path, blob)
                 self._write_shared(digest, payload)
-                entries = self._parse_index(self._index_bytes())
-                entries[key.slug] = record.to_dict()
-                self._write_index(entries)
+                with open(self.root / "index.lock", "wb") as lock:
+                    fcntl.flock(lock, fcntl.LOCK_EX)  # other processes
+                    entries = self._parse_index(self._index_bytes())
+                    entries[key.slug] = record.to_dict()
+                    self._write_index(entries)
                 self._cache_put(digest, result)
             sp.set(digest=digest[:16], train_size=record.train_size)
         obs_metrics.counter("serve.registry.registered").inc()

@@ -17,8 +17,11 @@ contract as the single-process server:
   aggregated (counters/gauges summed, quantile samples combined by
   max) with the router's own ``serve.router.*`` instruments appended;
 - ``POST /reload``  -- fanned out to the owning shards (all shards for
-  an empty body) so a drift-triggered refit hot-swaps every worker
-  serving the affected model; see docs/STREAMING.md.
+  an empty body) so a model registered elsewhere hot-swaps every
+  worker serving it.
+
+Drift is the shard owner's: each worker judges, and under ``repro serve
+--refit`` refits, the models it serves; the router holds no drift state.
 
 A worker that dies (crash, OOM kill) is restarted on the next request
 that needs its shard — ``serve.router.worker_restarts`` counts these —
@@ -51,6 +54,7 @@ from repro.obs.metrics import (
     parse_prometheus_text,
     render_prometheus,
 )
+from repro.obs.runs import LEDGER_ENV
 from repro.obs.trace import new_trace_id
 from repro.serve.http import JsonHTTPServer, JsonRequestHandler, RequestError
 from repro.serve.registry import (
@@ -97,6 +101,11 @@ class RouterConfig:
     metrics_window_s: float = 60.0
     worker_quantized: bool = False  # workers serve via lookup tables
     worker_trace_sample: float = 1.0
+    # repro serve --refit, passed on to every worker (interval 0: off;
+    # ledger None: no run ledger).
+    refit_interval_s: float = 0.0
+    refit_jobs: int = 1
+    refit_ledger: str | None = None
 
 
 class WorkerHandle:
@@ -160,6 +169,10 @@ class WorkerHandle:
             if self.config.worker_quantized:
                 argv.append("--quantized")
             env = dict(os.environ)
+            if self.config.refit_interval_s > 0:
+                argv += ["--refit-interval", str(self.config.refit_interval_s)]
+                argv += ["--jobs", str(self.config.refit_jobs)]
+                env[LEDGER_ENV] = self.config.refit_ledger or "0"
             src_root = str(Path(__file__).resolve().parents[2])
             existing = env.get("PYTHONPATH", "")
             env["PYTHONPATH"] = (
@@ -252,10 +265,6 @@ class _RouterService:
         self.workers = workers
         self.metrics = MetricsRegistry()
         self._started = time.monotonic()
-        # Optional observer of successfully-forwarded traffic, called as
-        # tap(city, isp, downloads, uploads); repro.stream.attach points
-        # this at a StreamMonitor when `repro serve --refit` is on.
-        self.stream_tap = None
 
     # -- routing ---------------------------------------------------------
     def forward_assign(
@@ -515,21 +524,6 @@ class _RouterHandler(JsonRequestHandler):
         except (urllib.error.URLError, ConnectionError, OSError) as exc:
             raise RequestError(502, f"worker unavailable: {exc}") from None
         self._send_body(status, response, "application/json")
-        if status == 200:
-            tap = router.stream_tap
-            if tap is not None:
-                try:
-                    tap(
-                        record.key.city,
-                        record.key.isp,
-                        payload.get("downloads", ()),
-                        payload.get("uploads", ()),
-                    )
-                # lint: allow[COR003] the tap must never fail a request
-                except Exception as exc:
-                    log.warning(
-                        "stream tap failed", extra=kv(error=repr(exc))
-                    )
 
     def _post_reload(self) -> None:
         """``POST /reload``: fan the hot-swap out to the worker fleet."""

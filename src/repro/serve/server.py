@@ -16,9 +16,7 @@ framework) exposing
   latency quantiles; see docs/ALERTING.md);
 - ``POST /reload`` -- hot-swap models: drop loaded state (optionally
   limited to a ``{"slugs": [...]}`` body) so the next request resolves
-  the freshest registration.  The refit scheduler
-  (:mod:`repro.stream.scheduler`) calls this after registering a
-  drift-triggered refit; see docs/STREAMING.md.
+  the freshest registration.
 
 The HTTP plumbing (trace ids, body limits, error envelopes) is the
 shared :class:`~repro.serve.http.JsonRequestHandler`.  Every request
@@ -38,8 +36,11 @@ download/upload means against the ``training_stats`` recorded at
 registration (:func:`~repro.obs.window.drift_verdict`) and flags models
 whose recent traffic has moved more than ``drift_rel_threshold``
 (relative) once the window holds ``drift_min_samples`` observations.
-An :class:`~repro.obs.alerts.AlertEngine` evaluates declarative rules
-over the windowed metrics and the drift verdicts on a background loop.
+Each loaded model also keeps a :class:`~repro.obs.window.PairRing` of
+its latest rows, the refit sample, so the service itself is the drift
+source of ``repro serve --refit`` (docs/STREAMING.md).  An
+:class:`~repro.obs.alerts.AlertEngine` evaluates declarative rules over
+the windowed metrics and the drift verdicts on a background loop.
 
 Shutdown is graceful: ``serve_until_shutdown`` installs
 SIGTERM/SIGINT handlers that stop the accept loop, then drains
@@ -73,6 +74,7 @@ from repro.obs.trace import should_sample, span
 from repro.obs.window import (
     DIRECTIONS,
     DriftFlags,
+    PairRing,
     WindowedMoments,
     drift_verdict,
 )
@@ -130,6 +132,7 @@ class _LoadedModel:
     record: ModelRecord
     assigner: TierAssigner
     moments: dict[str, WindowedMoments]  # drift window per direction
+    sample: PairRing = field(default_factory=PairRing)  # refit sample
     lookup: QuantizedLookup | None = None  # verified quantized table
     batcher: MicroBatcher | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -152,7 +155,7 @@ class AssignmentService:
     ):
         self.registry = registry
         self.config = config
-        self._clock = clock
+        self.clock = clock
         self._lock = threading.Lock()
         self._loaded: dict[str, _LoadedModel] = {}
         # Dedicated registry: the service watches its own traffic even
@@ -167,7 +170,7 @@ class AssignmentService:
         self.alerts = AlertEngine(
             rules,
             registry=self.metrics,
-            drift_provider=self.drift_status,
+            drift_provider=self.verdicts,
             log_path=config.alert_log,
         )
         self._evaluator: AlertEvaluator | None = None
@@ -176,11 +179,6 @@ class AssignmentService:
         # transitions, so its rate tracks drift events rather than
         # /healthz or alert-loop polling.
         self._drift_flags = DriftFlags()
-        # Optional observer of successfully-assigned traffic, called as
-        # tap(city, isp, downloads, uploads).  The stream lifecycle
-        # (repro.stream.attach) points this at a StreamMonitor so live
-        # serving traffic feeds the refit scheduler's windowed stats.
-        self.stream_tap: Callable[[str, str, Any, Any], None] | None = None
 
     def start_alerting(self) -> None:
         """Start the background alert evaluator (idempotent)."""
@@ -322,8 +320,8 @@ class AssignmentService:
             n_fallback = batch.n_fallback
         # Observe only after assignment succeeded: a batch the engine
         # rejects with 400 (NaN/inf, mismatched lengths) or that timed
-        # out in the queue must not shift the drift monitor's observed
-        # means and fire false model_drift alerts.
+        # out in the queue must not shift the drift window's observed
+        # means, fire false model_drift alerts, or enter a refit.
         self._observe(loaded, downloads, uploads)
         return {
             "tiers": tiers,
@@ -344,26 +342,25 @@ class AssignmentService:
         downloads: np.ndarray,
         uploads: np.ndarray,
     ) -> None:
-        now = self._clock()
+        now = self.clock()
         with loaded.lock:
             for direction, values in zip(DIRECTIONS, (downloads, uploads)):
                 loaded.moments[direction].observe(now, values)
-        tap = self.stream_tap
-        if tap is not None:
-            tap(loaded.key.city, loaded.key.isp, downloads, uploads)
+            loaded.sample.push(downloads, uploads)
 
-    # -- drift -----------------------------------------------------------
-    def drift_status(self) -> list[dict[str, Any]]:
+    # -- drift and refit source ------------------------------------------
+    def verdicts(self) -> list[dict[str, Any]]:
         """Per-loaded-model drift verdicts over the trailing window.
 
-        Called by both ``/healthz`` and the background alert evaluator,
-        so it must be poll-stable: ``serve.drift_flags`` (and the
-        drift warning log line) fire only on a model's not-drifted ->
-        drifted *transition*, not on every call while drifted.
+        Called by ``/healthz``, the background alert evaluator and an
+        attached refit scheduler, so it must be poll-stable:
+        ``serve.drift_flags`` (and the drift warning log line) fire
+        only on a model's not-drifted -> drifted *transition*, not on
+        every call while drifted.
         """
         with self._lock:
             loaded = list(self._loaded.values())
-        now = self._clock()
+        now = self.clock()
         out = []
         for model in loaded:
             with model.lock:
@@ -385,11 +382,36 @@ class AssignmentService:
             out.append(
                 {
                     "model": model.key.slug,
+                    "city": model.key.city,
+                    "isp": model.key.isp,
                     "drifted": drifted,
                     "directions": directions,
                 }
             )
         return out
+
+    def _loaded_pair(self, city: str, isp: str) -> list[_LoadedModel]:
+        with self._lock:
+            return [
+                model
+                for slug, model in sorted(self._loaded.items())
+                if (model.key.city, model.key.isp) == (city, isp)
+            ]
+
+    def recent_sample(
+        self, city: str, isp: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The refit samples of the pair's loaded models, oldest first."""
+        pairs = [(np.empty(0), np.empty(0))]
+        for model in self._loaded_pair(city, isp):
+            with model.lock:
+                pairs.append(model.sample.pairs())
+        downloads, uploads = zip(*pairs)
+        return np.concatenate(downloads), np.concatenate(uploads)
+
+    def rebaseline(self, city: str, isp: str) -> None:
+        """Reload the pair's models: fresh window and sample (a refit)."""
+        self.reload([m.key.slug for m in self._loaded_pair(city, isp)])
 
     # -- health / lifecycle ----------------------------------------------
     def record_request(self) -> None:
@@ -426,12 +448,12 @@ class AssignmentService:
             n_loaded = len(self._loaded)
         return {
             "status": "ok",
-            "uptime_s": round(self._clock() - self._started, 3),
+            "uptime_s": round(self.clock() - self._started, 3),
             "models_registered": len(self.registry.records()),
             "models_loaded": n_loaded,
             "requests": int(self.metrics.counter("serve.requests").value),
             "errors": int(self.metrics.counter("serve.errors").value),
-            "drift": self.drift_status(),
+            "drift": self.verdicts(),
             # counts() first: its "active" tally is superseded by the
             # full list of active alerts.
             "alerts": {
@@ -448,9 +470,9 @@ class AssignmentService:
         In-flight requests keep the complete model object they already
         resolved (old *or* new, never torn); the next resolve reloads
         from the registry, whose cache is evicted here.  Per-model
-        drift state (the new model's empty window) restarts from
-        ``warming_up`` against the new ``training_stats``, so a
-        post-refit ``/healthz`` verdict returns to ok instead of
+        drift state (the new model's empty window and refit sample)
+        restarts from ``warming_up`` against the new ``training_stats``,
+        so a post-refit ``/healthz`` verdict returns to ok instead of
         comparing fresh traffic with a stale baseline.
         """
         self.registry.evict_cache()

@@ -15,8 +15,10 @@ each parsing the JSON object.  ``--quantized`` serves through the
 registered byte-identity-proven lookup tables where available.
 
 A worker is a complete server: it keeps its own micro-batchers, drift
-monitor, and always-on metrics registry, and shuts down gracefully on
-SIGTERM (the router stops workers exactly that way).
+windows, refit samples and always-on metrics registry, and shuts down
+gracefully on SIGTERM (the router stops workers exactly that way).
+``--refit-interval`` (passed on by ``repro serve --refit``) runs a
+refit scheduler on the worker's own service: the shard owner refits.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ def main(argv: list[str] | None = None) -> int:
         help="serve via registered byte-identity-proven lookup tables",
     )
     parser.add_argument(
+        "--refit-interval", type=float, default=0.0,
+        help="refit scheduler poll period in seconds; 0 disables",
+    )
+    parser.add_argument("--jobs", type=int, default=1, help="refit fit jobs")
+    parser.add_argument(
         "--no-mmap",
         action="store_true",
         help="load models from JSON objects instead of the mmap sidecar",
@@ -83,10 +90,21 @@ def main(argv: list[str] | None = None) -> int:
         quantized=args.quantized,
     )
     server = build_server(ModelRegistry(args.registry), config)
+    scheduler = None
+    if args.refit_interval > 0:
+        from repro.stream.attach import attach_refit
+
+        scheduler = attach_refit(
+            server.service, interval_s=args.refit_interval, jobs=args.jobs
+        )
     host, port = server.server_address[:2]
     # The router's supervisor parses this exact line for the bound port.
     print(f"serving on http://{host}:{port}", flush=True)
-    return serve_until_shutdown(server)
+    try:
+        return serve_until_shutdown(server)
+    finally:
+        if scheduler is not None:
+            scheduler.stop()
 
 
 if __name__ == "__main__":

@@ -17,7 +17,10 @@ system:
   shards, registers the result, and hot-swaps serving via ``/reload``;
 - :mod:`repro.stream.run` -- the standalone simulation harness behind
   ``repro stream run``;
-- :mod:`repro.stream.attach` -- wiring for ``repro serve --refit``;
+- :mod:`repro.stream.attach` -- ``repro serve --refit``: a scheduler
+  whose drift source is the serving
+  :class:`~repro.serve.server.AssignmentService` itself (one per
+  worker under ``--workers N``);
 - :mod:`repro.stream.clock` -- the injectable clock (DET005 bans every
   other wall-clock reference in this package).
 """

@@ -1,33 +1,17 @@
-"""Attach the online lifecycle to a live serving process.
+"""Attach the online lifecycle to a live assignment service.
 
-``repro serve --refit`` calls :func:`attach_refit` after building the
-server: it taps successfully-assigned traffic into a
-:class:`~repro.stream.monitor.StreamMonitor` (so the windowed stats see
-exactly what the models see), wires the scheduler's hot-swap callback
-to the server's ``/reload`` machinery, and starts the
-:class:`~repro.stream.scheduler.RefitScheduler` daemon on the real
-clock (the only place :func:`repro.stream.clock.system_clock` is
-handed out).
-
-Works against both server shapes:
-
-- a single-process :class:`~repro.serve.server.ServeServer` -- the tap
-  feeds from ``AssignmentService._observe`` and the swap calls
-  ``AssignmentService.reload`` in-process;
-- a :class:`~repro.serve.router.RouterServer` -- the tap feeds from the
-  router's forward path and the swap fans ``POST /reload`` out to the
-  owning worker shards.
+``repro serve --refit`` (in each worker, with ``--workers N``) starts a
+refit scheduler whose drift source is the serving
+:class:`~repro.serve.server.AssignmentService`: the ``verdicts()`` rows
+``/healthz`` and the ``model_drift`` alert read, each loaded model's
+refit sample, and an in-process reload as the hot swap.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.core.bst import BSTConfig
 from repro.obs.logging import get_logger, kv
-from repro.stream.clock import system_clock
-from repro.stream.monitor import StreamMonitor
-from repro.stream.scheduler import RefitPolicy, RefitScheduler
+from repro.serve.server import AssignmentService
+from repro.stream.scheduler import RefitScheduler
 
 __all__ = ["attach_refit"]
 
@@ -35,62 +19,25 @@ log = get_logger("repro.stream.attach")
 
 
 def attach_refit(
-    server: Any,
-    policy: RefitPolicy | None = None,
-    config: BSTConfig | None = None,
+    service: AssignmentService,
     interval_s: float = 5.0,
-    window_s: float = 60.0,
     jobs: int = 1,
     ledger_path: str | None = "auto",
-) -> tuple[StreamMonitor, RefitScheduler]:
-    """Wire monitor + scheduler into a built server and start polling.
+) -> RefitScheduler:
+    """Start a :class:`RefitScheduler` polling ``service``.
 
-    Returns ``(monitor, scheduler)``; the caller owns stopping the
-    scheduler (``scheduler.stop()``) when the server shuts down.
+    The scheduler runs on the service's clock and writes its
+    ``stream.*`` instruments into the service's ``/metrics`` registry.
+    The caller owns ``scheduler.stop()`` at shutdown.
     """
-    clock = system_clock()
-    if hasattr(server, "service"):  # single-process ServeServer
-        service = server.service
-        registry = service.registry
-        monitor = StreamMonitor(
-            registry=registry,
-            metrics=service.metrics,
-            clock=clock,
-            window_s=window_s,
-        )
-        service.stream_tap = monitor.observe_arrays
-        reload_cb = service.reload
-        mode = "in-process"
-    elif hasattr(server, "router"):  # sharded RouterServer
-        router = server.router
-        registry = router.registry
-        monitor = StreamMonitor(
-            registry=registry,
-            metrics=router.metrics,
-            clock=clock,
-            window_s=window_s,
-        )
-        router.stream_tap = monitor.observe_arrays
-        reload_cb = router.reload_models
-        mode = "router fan-out"
-    else:
-        raise TypeError(
-            f"cannot attach a refit scheduler to {type(server).__name__}; "
-            "expected a ServeServer or RouterServer"
-        )
     scheduler = RefitScheduler(
-        registry=registry,
-        monitor=monitor,
-        policy=policy,
-        clock=clock,
-        config=config,
-        reload_cb=reload_cb,
+        registry=service.registry,
+        monitor=service,
+        clock=service.clock,
         jobs=jobs,
         ledger_path=ledger_path,
+        metrics=service.metrics,
     )
     scheduler.start(interval_s=interval_s)
-    log.info(
-        "refit scheduler attached",
-        extra=kv(mode=mode, interval_s=interval_s),
-    )
-    return monitor, scheduler
+    log.info("refit scheduler attached", extra=kv(interval_s=interval_s))
+    return scheduler

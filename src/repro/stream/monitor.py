@@ -11,9 +11,9 @@ micro-batches and maintains, per ``(city, isp)`` group:
   (:class:`repro.obs.quality.FieldMonitor`) in a one-slot
   :class:`~repro.obs.window.TickRing`, so it restarts every window and
   the p50/p95 reflect recent traffic rather than the whole stream;
-- **a refit sample** -- a bounded ring of the most recent raw
-  ``(download, upload)`` pairs, which is exactly the data a
-  drift-triggered refit trains on (:mod:`repro.stream.scheduler`);
+- **a refit sample** -- a :class:`~repro.obs.window.PairRing` of the
+  most recent raw ``(download, upload)`` pairs, which is exactly the
+  data a drift-triggered refit trains on (:mod:`repro.stream.scheduler`);
 - **disruption state** -- sudden tier-share shift against the long-run
   mix, and congestion onset against the per-time-of-day baseline.
 
@@ -23,10 +23,11 @@ used only for the ``stream.lag_s`` gauge (how far monitoring trails the
 stream).  Drift verdicts compare the windowed mean against the serving
 registry's ``training_stats`` through the same
 :func:`repro.obs.window.drift_verdict` as
-``AssignmentService.drift_status()``, so the rows are shaped exactly
-alike (plus ``observed_p50``/``observed_p95``) and the same
+``AssignmentService.verdicts()``, so the rows are shaped exactly alike
+(plus ``observed_p50``/``observed_p95``), and the same
 ``model_drift`` alert rule (:func:`repro.obs.alerts.default_serve_rules`)
-consumes either source.
+and :class:`~repro.stream.scheduler.RefitScheduler` consume either
+source.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.obs.quality import FieldMonitor
 from repro.obs.window import (
     DIRECTIONS,
     DriftFlags,
+    PairRing,
     TickRing,
     WindowedMoments,
     drift_verdict,
@@ -63,10 +65,7 @@ class GroupStats:
         "isp",
         "moments",
         "reservoirs",
-        "sample_down",
-        "sample_up",
-        "sample_pos",
-        "sample_len",
+        "sample",
         "n_events",
         "last_t_s",
         "tier_n",
@@ -87,11 +86,7 @@ class GroupStats:
             )
             for d in DIRECTIONS
         }
-        # Refit sample: bounded ring of the latest raw pairs.
-        self.sample_down = np.zeros(cap, dtype=float)
-        self.sample_up = np.zeros(cap, dtype=float)
-        self.sample_pos = 0
-        self.sample_len = 0
+        self.sample = PairRing(cap)  # the refit sample
         self.n_events = 0
         self.last_t_s = float("-inf")
         # Long-run vs windowed tier mix (upper-half-tier share).
@@ -101,29 +96,6 @@ class GroupStats:
         # Per-diurnal-bin long-run download mean for congestion onset.
         self.bin_stats: dict[int, tuple[int, float]] = {}
         self.median_tier: float | None = None
-
-    def push_sample(self, downloads: np.ndarray, uploads: np.ndarray) -> None:
-        cap = len(self.sample_down)
-        n = min(len(downloads), cap)
-        pos = self.sample_pos
-        head = min(n, cap - pos)  # the rest wraps to the front
-        for ring, values in (
-            (self.sample_down, downloads[-n:]),
-            (self.sample_up, uploads[-n:]),
-        ):
-            ring[pos : pos + head] = values[:head]
-            ring[: n - head] = values[head:]
-        self.sample_pos = (pos + n) % cap
-        self.sample_len = min(self.sample_len + n, cap)
-
-    def sample(self) -> tuple[np.ndarray, np.ndarray]:
-        """The retained raw pairs, oldest first (copies)."""
-        pos, n = self.sample_pos, self.sample_len
-        down, up = (
-            np.concatenate((ring[pos:n], ring[:pos]))
-            for ring in (self.sample_down, self.sample_up)
-        )
-        return down, up
 
 
 class StreamMonitor:
@@ -210,20 +182,14 @@ class StreamMonitor:
         uploads: np.ndarray,
         tiers: np.ndarray | None = None,
         hours: np.ndarray | None = None,
-        t_s: float | None = None,
+        *,
+        t_s: float,
     ) -> None:
-        """Entry point for serve-path taps (no StreamBatch at hand).
-
-        ``t_s`` defaults to the injected clock, so live serving traffic
-        windows by arrival time while simulated batches window by their
-        own stream timestamps.
-        """
+        """Fold raw arrays stamped with stream time ``t_s``."""
         downloads = np.asarray(downloads, dtype=float).ravel()
         uploads = np.asarray(uploads, dtype=float).ravel()
         if downloads.size == 0:
             return
-        if t_s is None:
-            t_s = self.clock() if self.clock is not None else 0.0
         with self._lock:
             group = self._groups.get((city, isp))
             if group is None:
@@ -235,7 +201,7 @@ class StreamMonitor:
             for direction, values in zip(DIRECTIONS, (downloads, uploads)):
                 group.moments[direction].observe(t_s, values)
                 group.reservoirs[direction].slot(t_s).observe_array(values)
-            group.push_sample(downloads, uploads)
+            group.sample.push(downloads, uploads)
             if tiers is not None and len(tiers):
                 self._observe_tiers(group, t_s, np.asarray(tiers))
             if hours is not None and len(hours):
@@ -298,7 +264,7 @@ class StreamMonitor:
 
     # -- verdicts --------------------------------------------------------
     def verdicts(self) -> list[dict[str, Any]]:
-        """Rolling drift verdicts, shaped like ``drift_status()`` output.
+        """Rolling drift verdicts, shaped like the serving ``verdicts()``.
 
         Poll-stable: the ``stream.drift_flags`` counter moves only on a
         group's not-drifted -> drifted transition.
@@ -420,7 +386,7 @@ class StreamMonitor:
             group = self._groups.get((city, isp))
             if group is None:
                 return np.empty(0), np.empty(0)
-            return group.sample()
+            return group.sample.pairs()
 
     def group_names(self) -> list[tuple[str, str]]:
         with self._lock:

@@ -2,10 +2,11 @@
 
 :class:`RefitScheduler` closes the loop the serving tier left open --
 drift is *detected* (``/healthz`` verdicts, ``model_drift`` alerts) but
-nothing acts on it.  The scheduler polls a
-:class:`~repro.stream.monitor.StreamMonitor` for rolling drift
-verdicts, debounces them, and refits the affected ``(city, isp)`` shard
-on the monitor's retained recent sample:
+nothing acts on it.  The scheduler polls a drift source (a
+:class:`~repro.stream.monitor.StreamMonitor` or a live
+:class:`~repro.serve.server.AssignmentService`) for rolling verdicts,
+debounces them, and refits the affected ``(city, isp)`` shard on the
+source's retained recent sample:
 
 1. **min-hold** -- a verdict must stay drifted for ``min_hold_s``
    before a refit starts (a single noisy window refits nothing);
@@ -15,14 +16,15 @@ on the monitor's retained recent sample:
 3. **max-concurrent** -- at most ``max_concurrent`` refits run per
    poll cycle, so a fleet-wide disruption cannot stampede the fitter.
 
-A refit fits :class:`~repro.core.bst.BSTModel` on the monitor's recent
+A refit fits :class:`~repro.core.bst.BSTModel` on the source's recent
 raw sample (``jobs`` fans the per-group download fits out through
 :mod:`repro.core.parallel`), registers the result content-addressed
-under the *same* model key, hot-swaps serving workers through the
-``reload_cb`` (``POST /reload``; see docs/STREAMING.md), rebaselines
-the monitor, and appends a ``kind="refit"`` manifest to the run ledger
-with full provenance (old/new digest, sample size, the triggering
-verdict, drift-to-swap latency).
+under the *same* model key, calls the optional ``reload_cb`` (``POST
+/reload`` on a separate server), rebaselines the source (a serving
+source hot-swaps there; see docs/STREAMING.md), and appends a
+``kind="refit"`` manifest to the run ledger with full provenance
+(old/new digest, sample size, the triggering verdict, drift-to-swap
+latency).
 
 The scheduler never reads the wall clock: ``clock`` and ``sleep`` are
 injected (:mod:`repro.stream.clock`), so the end-to-end lifecycle --
@@ -45,6 +47,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.runs import RunLedger, RunRecorder, default_ledger_path
 from repro.obs.trace import span
 from repro.serve.registry import ModelKey, ModelRegistry
+from repro.serve.server import AssignmentService
 from repro.stream.monitor import StreamMonitor
 
 __all__ = ["RefitPolicy", "RefitScheduler"]
@@ -78,7 +81,8 @@ class RefitScheduler:
     registry:
         The serving model registry refits are registered into.
     monitor:
-        Drift-verdict and refit-sample source.
+        Drift-verdict and refit-sample source (``verdicts``,
+        ``recent_sample``, ``rebaseline``).
     policy:
         Debounce configuration (:class:`RefitPolicy`).
     clock:
@@ -88,9 +92,9 @@ class RefitScheduler:
         :class:`BSTConfig` used for refits (default config when None).
     reload_cb:
         Called with the list of refit model slugs after registration;
-        wire this to ``ServeClient.reload`` / the router fan-out so
-        serving processes hot-swap.  None skips the swap (standalone
-        simulation against a registry nobody is serving from).
+        wire this to ``ServeClient.reload`` so a server fed by a
+        separate monitor hot-swaps.  None skips it (a serving source
+        swaps in ``rebaseline``).
     jobs:
         Worker processes for each refit's per-group download fits
         (through :mod:`repro.core.parallel`; 1 = serial).
@@ -105,7 +109,7 @@ class RefitScheduler:
     def __init__(
         self,
         registry: ModelRegistry,
-        monitor: StreamMonitor,
+        monitor: StreamMonitor | AssignmentService,
         policy: RefitPolicy | None = None,
         clock: Callable[[], float] | None = None,
         config: BSTConfig | None = None,
@@ -170,7 +174,8 @@ class RefitScheduler:
                 self._last_refit[verdict["model"]] = now
         if not due:
             return []
-        self._set_gauge("stream.active_refits", float(len(due)))
+        n_due = float(len(due))
+        self._write(lambda r: r.gauge("stream.active_refits").set(n_due))
         completed: list[dict[str, Any]] = []
         try:
             for verdict in due:
@@ -178,7 +183,7 @@ class RefitScheduler:
                 if outcome is not None:
                     completed.append(outcome)
         finally:
-            self._set_gauge("stream.active_refits", 0.0)
+            self._write(lambda r: r.gauge("stream.active_refits").set(0.0))
         if completed and self.reload_cb is not None:
             slugs = [c["model"] for c in completed]
             try:
@@ -220,16 +225,20 @@ class RefitScheduler:
                 )
         except Exception as exc:
             self.n_failures += 1
-            self._bump("stream.refit_failures", 1)
+            self._write(lambda r: r.counter("stream.refit_failures").inc())
             log.error(
                 "refit failed", extra=kv(model=slug, error=repr(exc))
             )
             return None
         t_done = self.clock()
         self.n_refits += 1
-        self._bump("stream.refits", 1)
         latency = t_done - verdict["breach_since"]
-        self._observe_hist("stream.refit_latency_s", latency)
+
+        def write(registry) -> None:
+            registry.counter("stream.refits").inc()
+            registry.histogram("stream.refit_latency_s").observe(latency)
+
+        self._write(write)
         log.info(
             "refit shard",
             extra=kv(
@@ -341,21 +350,11 @@ class RefitScheduler:
             thread.join(timeout=10)
             self._thread = None
 
-    # -- instrument plumbing --------------------------------------------
-    def _bump(self, name: str, n: float) -> None:
-        obs_metrics.counter(name).inc(n)
+    def _write(self, write: Callable[[Any], Any]) -> None:
+        """Apply one instrument write to the global and extra registry."""
+        write(obs_metrics.get_registry())
         if self.metrics is not None:
-            self.metrics.counter(name).inc(n)
-
-    def _set_gauge(self, name: str, value: float) -> None:
-        obs_metrics.gauge(name).set(value)
-        if self.metrics is not None:
-            self.metrics.gauge(name).set(value)
-
-    def _observe_hist(self, name: str, value: float) -> None:
-        obs_metrics.histogram(name).observe(value)
-        if self.metrics is not None:
-            self.metrics.histogram(name).observe(value)
+            write(self.metrics)
 
 
 def _jsonable(value: Any) -> Any:

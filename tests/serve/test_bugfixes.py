@@ -59,14 +59,14 @@ def test_drift_counter_is_poll_stable(service):
         {"downloads": [100_000.0] * 30, "uploads": [90_000.0] * 30}
     )
     assert out["tiers"]
-    first = service.drift_status()
+    first = service.verdicts()
     assert any(row["drifted"] for row in first)
     flagged = service.metrics.counter("serve.drift_flags").value
     assert flagged == 1
     # /healthz and the alert evaluator both poll drift_status; polling
     # while the model stays drifted must not move the counter.
     for _ in range(5):
-        again = service.drift_status()
+        again = service.verdicts()
         assert any(row["drifted"] for row in again)
     assert service.metrics.counter("serve.drift_flags").value == flagged
 
@@ -143,7 +143,7 @@ def test_rejected_batch_leaves_drift_stats_untouched(service):
     def n_observed() -> int:
         # Both directions: the NaN-download batch carries 500 finite
         # uploads, which an observed rejection would add.
-        (row,) = service.drift_status()
+        (row,) = service.verdicts()
         return sum(d["n_observed"] for d in row["directions"].values())
 
     before = n_observed()
@@ -240,7 +240,7 @@ def test_drift_is_windowed_not_lifetime(registry_a):
         service.assign_payload(
             {"downloads": [down] * 5_000, "uploads": [up] * 5_000}
         )
-        assert not any(row["drifted"] for row in service.drift_status())
+        assert not any(row["drifted"] for row in service.verdicts())
         # The good traffic ages out of the window; 20 rows at 20x the
         # training means are then all the window holds.  A lifetime
         # mean would move only ~7.6% and miss the drift.
@@ -248,7 +248,7 @@ def test_drift_is_windowed_not_lifetime(registry_a):
         service.assign_payload(
             {"downloads": [20 * down] * 20, "uploads": [20 * up] * 20}
         )
-        (row,) = service.drift_status()
+        (row,) = service.verdicts()
         assert row["drifted"]
         for direction in ("download_mbps", "upload_mbps"):
             assert row["directions"][direction]["status"] == "drifted"
@@ -273,7 +273,7 @@ def test_drift_needs_min_samples_per_window(registry_a):
             service.assign_payload(
                 {"downloads": [down] * 10, "uploads": [up] * 10}
             )
-            (row,) = service.drift_status()
+            (row,) = service.verdicts()
             assert not row["drifted"]
             for stats in row["directions"].values():
                 assert stats == {"status": "warming_up", "n_observed": 10}

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.config import BSTConfig
 from repro.serve.registry import ModelKey, ModelRecord, ModelRegistry
 
@@ -346,3 +351,63 @@ def test_concurrent_readers_never_see_the_index_go_back(
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert len(registry.records()) == n_new + 1
+
+
+_REGISTER_MANY = """
+import sys, time
+from pathlib import Path
+from repro.serve.registry import ModelKey, ModelRegistry
+
+root, base, proc, n, go = sys.argv[1:]
+registry = ModelRegistry(root)
+base_key = ModelKey.from_slug(base)
+result, _ = registry.load(base_key)
+Path(go + proc).touch()  # ready
+while not Path(go).exists():
+    time.sleep(0.001)
+for i in range(int(n)):
+    key = ModelKey(f"P{proc}-{i}", base_key.isp, base_key.config_hash)
+    registry.register(key, result)
+"""
+
+
+def test_concurrent_processes_keep_every_index_entry(
+    registry, fitted_a, catalog_a, tmp_path
+):
+    """Registries in separate processes register different keys at once;
+    the index read-modify-write must not drop any of them."""
+    base = registry.register(registry.key_for("A", catalog_a), fitted_a)
+    n_procs, n_each = 4, 25
+    go = str(tmp_path / "go")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    procs = [
+        subprocess.Popen(
+            [
+                sys.executable, "-c", _REGISTER_MANY, str(registry.root),
+                base.key.slug, str(proc), str(n_each), go,
+            ],
+            env=env,
+        )
+        for proc in range(n_procs)
+    ]
+    try:
+        deadline = time.monotonic() + 120
+        while not all(
+            os.path.exists(go + str(proc)) for proc in range(n_procs)
+        ):
+            assert time.monotonic() < deadline, "workers never got ready"
+            assert all(p.poll() is None for p in procs), "a worker died"
+            time.sleep(0.01)
+        Path(go).touch()
+        assert [p.wait(timeout=120) for p in procs] == [0] * n_procs
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+                p.wait()
+    cities = {r.key.city for r in ModelRegistry(registry.root).records()}
+    expected = {"A"} | {
+        f"P{proc}-{i}" for proc in range(n_procs) for i in range(n_each)
+    }
+    assert cities == expected

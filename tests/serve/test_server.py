@@ -109,7 +109,7 @@ def test_drift_flags_shifted_traffic(served):
     downs = [20_000.0 / 4.0] * 60  # still below the outlier threshold
     ups = [600.0] * 60
     client.assign(downs, ups)
-    drifted = [d for d in server.service.drift_status() if d["drifted"]]
+    drifted = [d for d in server.service.verdicts() if d["drifted"]]
     assert drifted, "shifted traffic not flagged as drift"
     directions = drifted[0]["directions"]
     assert directions["download_mbps"]["status"] == "drifted"

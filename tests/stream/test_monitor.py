@@ -65,17 +65,17 @@ class TestWindowedMoments:
 class TestRefitSampleRing:
     def test_wraparound_keeps_latest_oldest_first(self):
         group = GroupStats("A", "ISP-A", window_s=60.0, cap=8)
-        group.push_sample(np.arange(5, dtype=float), np.zeros(5))
-        group.push_sample(np.arange(5, 11, dtype=float), np.zeros(6))
-        downs, _ = group.sample()
+        group.sample.push(np.arange(5, dtype=float), np.zeros(5))
+        group.sample.push(np.arange(5, 11, dtype=float), np.zeros(6))
+        downs, _ = group.sample.pairs()
         np.testing.assert_array_equal(
             downs, np.asarray([3, 4, 5, 6, 7, 8, 9, 10], dtype=float)
         )
 
     def test_oversize_batch_keeps_tail(self):
         group = GroupStats("A", "ISP-A", window_s=60.0, cap=4)
-        group.push_sample(np.arange(10, dtype=float), np.zeros(10))
-        downs, _ = group.sample()
+        group.sample.push(np.arange(10, dtype=float), np.zeros(10))
+        downs, _ = group.sample.pairs()
         np.testing.assert_array_equal(downs, [6.0, 7.0, 8.0, 9.0])
 
 
@@ -200,7 +200,7 @@ class TestServeParity:
                 monitor.observe_arrays(
                     key.city, key.isp, downs, ups, t_s=now[0]
                 )
-                (served,) = service.drift_status()
+                (served,) = service.verdicts()
                 (streamed,) = monitor.verdicts()
                 assert served["drifted"] == streamed["drifted"]
                 for direction, row in served["directions"].items():

@@ -7,8 +7,9 @@ from repro.obs.watch import render_snapshot, take_snapshot
 
 
 class FakeClient:
-    def __init__(self, registry: MetricsRegistry):
+    def __init__(self, registry: MetricsRegistry, drift=(), **health):
         self._registry = registry
+        self._health = {"drift": list(drift), **health}
 
     def metrics_text(self) -> str:
         return render_prometheus(self._registry)
@@ -18,9 +19,13 @@ class FakeClient:
             "status": "ok",
             "uptime_s": 12.0,
             "models_loaded": 1,
-            "drift": [],
             "alerts": {"fired": 0, "resolved": 0, "active": []},
+            **self._health,
         }
+
+
+def _drift_row(slug: str, drifted: bool) -> dict:
+    return {"model": slug, "drifted": drifted, "directions": {}}
 
 
 def _serving_registry() -> MetricsRegistry:
@@ -44,21 +49,46 @@ def test_snapshot_with_stream_metrics_renders_panel():
     registry.counter("stream.refits").inc(2)
     registry.counter("stream.refit_failures").inc(0)
     registry.gauge("stream.lag_s").set(0.25)
-    registry.gauge("stream.drifted_models").set(1)
     registry.gauge("stream.active_refits").set(0)
     registry.histogram("stream.refit_latency_s").observe(2.5)
     registry.counter("serve.reloads").inc(2)
-    snap = take_snapshot(FakeClient(registry))
+    drift = [_drift_row("A|x|0", True), _drift_row("B|y|0", False)]
+    snap = take_snapshot(FakeClient(registry, drift))
     stream = snap["stream"]
     assert stream is not None
     assert stream["events_total"] == 5000
     assert stream["refits_total"] == 2
     assert stream["lag_s"] == 0.25
-    assert stream["drifted_models"] == 1
     assert stream["reloads_total"] == 2
     text = render_snapshot(snap)
     assert "stream     events=5000" in text
     assert "lifecycle  refits=2" in text
     assert "lag=0.25s" in text
-    assert "drifted=1" in text
+    assert "drifted=1 " in text  # counted from the /healthz rows
     assert "reloads=2" in text
+
+
+def test_serve_refit_panel_has_lifecycle_but_no_events_line():
+    """`repro serve --refit` emits refit instruments but no stream.events:
+    the events line is left out and drift comes from /healthz."""
+    registry = _serving_registry()
+    registry.counter("stream.refits").inc(1)
+    text = render_snapshot(
+        take_snapshot(FakeClient(registry, [_drift_row("A|x|0", True)]))
+    )
+    assert "stream     events" not in text
+    assert "lifecycle  refits=1" in text
+    assert "drifted=1 " in text
+
+
+def test_router_health_drift_rows_are_counted():
+    registry = _serving_registry()
+    registry.counter("stream.refits").inc(1)
+    workers = [
+        {"drift": [_drift_row("A|x|0", True)]},
+        {"drift": [_drift_row("B|y|0", True)]},
+        {"error": "unreachable"},
+    ]
+    snap = take_snapshot(FakeClient(registry, workers=workers))
+    assert [row["model"] for row in snap["drift"]] == ["A|x|0", "B|y|0"]
+    assert "drifted=2 " in render_snapshot(snap)
