@@ -21,12 +21,14 @@ measurements that arrive later, without refitting.  Two layers:
   adjacent float64s.  ``build`` proves byte-identity against the exact
   GMM path on the training sample before the table may serve.
 - :class:`MicroBatcher` -- a bounded micro-batching queue for streaming
-  input: concurrent single-tuple submissions coalesce into one
-  vectorised ``assign`` call per flush (configurable flush size and
-  interval); a full queue blocks producers (backpressure) instead of
-  growing without bound.  ``submit`` and ``close`` synchronise on one
-  lock, so a submission racing shutdown either resolves its future or
-  fails fast with :class:`BatcherClosedError` -- never a lost future.
+  input: the flush worker takes every tuple already queued (up to
+  ``max_batch``) and flushes at once, so concurrent single-tuple
+  submissions coalesce into one vectorised ``assign`` call while a lone
+  tuple never waits on a timer; a full queue blocks producers
+  (backpressure) instead of growing without bound.  ``submit`` and
+  ``close`` synchronise on one lock, so a submission racing shutdown
+  either resolves its future or fails fast with
+  :class:`BatcherClosedError` -- never a lost future.
 
 Upload groups that had no download-stage fit (no training measurement
 landed in them) fall back to the log-nearest advertised download among
@@ -566,11 +568,13 @@ class MicroBatcher:
     """Bounded micro-batching queue in front of a :class:`TierAssigner`.
 
     Producers call :meth:`submit` (or the blocking :meth:`assign_one`);
-    a single worker thread drains the queue and flushes one vectorised
-    ``assign`` per batch -- when ``max_batch`` tuples are pending, or
-    ``flush_interval_s`` after the first pending tuple, whichever comes
-    first.  The queue holds at most ``max_pending`` tuples; a full queue
-    blocks ``submit`` (backpressure) rather than buffering unboundedly.
+    a single worker thread blocks for the next tuple, takes whatever
+    else is already queued without waiting (up to ``max_batch``) and
+    flushes one vectorised ``assign`` at once.  Batches form under load,
+    from the tuples that arrive while the previous flush runs; an idle
+    batcher flushes each tuple on arrival.  The queue holds at most
+    ``max_pending`` tuples; a full queue blocks ``submit``
+    (backpressure) rather than buffering unboundedly.
 
     Examples
     --------
@@ -592,7 +596,6 @@ class MicroBatcher:
         self,
         assigner: TierAssigner,
         max_batch: int = 256,
-        flush_interval_s: float = 0.005,
         max_pending: int = 4096,
     ):
         if max_batch < 1:
@@ -601,7 +604,6 @@ class MicroBatcher:
             raise ValueError("max_pending must be >= max_batch")
         self.assigner = assigner
         self.max_batch = int(max_batch)
-        self.flush_interval_s = float(flush_interval_s)
         self._queue: queue.Queue = queue.Queue(maxsize=int(max_pending))
         self._closed = threading.Event()
         # Serialises the closed-check-then-enqueue in submit() against
@@ -678,51 +680,25 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        pending: list[tuple[float, float, Future, str | None]] = []
-        deadline = 0.0
-        stop = False
-        while not stop:
-            if pending:
-                wait = max(deadline - time.monotonic(), 0.0)
-            else:
-                wait = None  # idle: block until work arrives
-            try:
-                item = self._queue.get(timeout=wait)
-            except queue.Empty:
-                item = None
-            if item is _SENTINEL:
-                stop = True
-                # Drain whatever was enqueued before the sentinel.
-                while True:
-                    try:
-                        extra = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if extra is not _SENTINEL:
-                        pending.append(extra)
-            elif item is not None:
-                if not pending:
-                    deadline = time.monotonic() + self.flush_interval_s
-                pending.append(item)
-            flush_due = pending and (
-                len(pending) >= self.max_batch
-                or time.monotonic() >= deadline
-            )
-            if flush_due and not stop:
-                batch, pending = (
-                    pending[: self.max_batch],
-                    pending[self.max_batch:],
-                )
+        # Greedy drain: block for one tuple, then take whatever else is
+        # already queued (up to max_batch) without waiting, and flush at
+        # once.  Under load tuples pile up while the previous flush runs,
+        # so batches still form; a lone tuple never waits for company.
+        # close() enqueues the sentinel last, so it always ends a batch.
+        while True:
+            batch = [self._queue.get()]
+            while len(batch) < self.max_batch:
+                try:
+                    batch.append(self._queue.get_nowait())
+                except queue.Empty:
+                    break
+            stop = batch[-1] is _SENTINEL
+            if stop:
+                batch.pop()
+            if batch:
                 self._flush(batch)
-                if pending:
-                    deadline = time.monotonic()  # flush backlog promptly
-        # Closing: flush everything still pending, in batch-sized chunks.
-        while pending:
-            batch, pending = (
-                pending[: self.max_batch],
-                pending[self.max_batch:],
-            )
-            self._flush(batch)
+            if stop:
+                return
 
     def _flush(
         self, batch: Sequence[tuple[float, float, Future, str | None]]

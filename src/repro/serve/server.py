@@ -56,6 +56,7 @@ import queue
 import signal
 import threading
 import time
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -112,7 +113,6 @@ class ServeConfig:
     # serving fewer per metrics_window_s stays warming_up.
     drift_min_samples: int = 200
     micro_batch: int = 256
-    micro_flush_interval_s: float = 0.005
     micro_max_pending: int = 4096
     trace_sample_rate: float = 1.0  # fraction of requests spanned
     metrics_window_s: float = 60.0  # GET /metrics and drift window
@@ -263,7 +263,6 @@ class AssignmentService:
                 loaded.batcher = MicroBatcher(
                     loaded.assigner,
                     max_batch=self.config.micro_batch,
-                    flush_interval_s=self.config.micro_flush_interval_s,
                     max_pending=self.config.micro_max_pending,
                 )
             return loaded.batcher
@@ -573,18 +572,20 @@ class _Handler(JsonRequestHandler):
             raise RequestError(400, str(exc)) from None
         except KeyError as exc:
             raise RequestError(404, str(exc).strip("'\"")) from None
-        except (queue.Full, BatcherClosedError) as exc:
-            # Backpressure (a saturated micro-batch queue) and shutdown
-            # are retryable conditions, not internal errors: answer a
-            # structured 503 with Retry-After instead of a generic 500.
+        except (queue.Full, FutureTimeoutError, BatcherClosedError) as exc:
+            # Backpressure (a saturated micro-batch queue or a result
+            # that outlived its wait) and shutdown are retryable
+            # conditions, not internal errors: answer a structured 503
+            # with Retry-After instead of a generic 500.
             service._write_metrics(
                 lambda r: r.counter("serve.queue_rejections").inc()
             )
-            reason = (
-                "assignment queue is saturated"
-                if isinstance(exc, queue.Full)
-                else "assignment engine is shutting down"
-            )
+            if isinstance(exc, queue.Full):
+                reason = "assignment queue is saturated"
+            elif isinstance(exc, FutureTimeoutError):
+                reason = "assignment timed out in the queue"
+            else:
+                reason = "assignment engine is shutting down"
             raise RequestError(
                 503, f"{reason}; retry shortly", {"Retry-After": "1"}
             ) from None

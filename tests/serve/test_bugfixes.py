@@ -4,7 +4,8 @@ Each test here failed against the pre-fix behaviour: a drift counter
 inflated by /healthz polling, a MicroBatcher close race that lost
 futures, drift statistics polluted by 400-rejected batches, queue
 backpressure surfacing as a generic 500, and a drift verdict blunted by
-a lifetime mean.
+a lifetime mean, and a batcher result timeout surfacing as a generic
+500.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def test_close_race_loses_no_futures(fitted_a):
     lock = threading.Lock()
     stop = threading.Event()
 
-    batcher = MicroBatcher(assigner, max_batch=16, flush_interval_s=0.001)
+    batcher = MicroBatcher(assigner, max_batch=16)
 
     def producer() -> None:
         nonlocal rejected
@@ -165,7 +166,8 @@ def test_rejected_batch_leaves_drift_stats_untouched(service):
 
 
 # ---------------------------------------------------------------------------
-# Fix 4: queue saturation answers a structured 503, not a 500
+# Fix 4: queue saturation and result timeouts answer a structured 503,
+# not a 500
 # ---------------------------------------------------------------------------
 class _SaturatedBatcher:
     """Stands in for a micro-batcher whose queue never drains."""
@@ -211,6 +213,57 @@ def test_saturated_queue_maps_to_503(tmp_path, fitted_a, ookla_a, catalog_a):
             == 1
         )
     finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+class _ShortWaitBatcher(MicroBatcher):
+    """A micro-batcher whose callers give up on a result after 0.2 s."""
+
+    def assign_one(self, download, upload, timeout_s=0.2):
+        return super().assign_one(download, upload, timeout_s=timeout_s)
+
+
+def test_batcher_timeout_maps_to_503(tmp_path, fitted_a, catalog_a, gated):
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.register(registry.key_for("A", catalog_a), fitted_a)
+    server = build_server(registry, ServeConfig(port=0, default_city="A"))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    held = gated(TierAssigner(fitted_a))
+    try:
+        loaded = server.service.resolve()
+        with loaded.lock:
+            # The flush holds the worker until the gate opens, so the
+            # request's wait for its result runs out.
+            loaded.batcher = _ShortWaitBatcher(held)
+        body = json.dumps(
+            {"downloads": [110.0], "uploads": [5.5], "stream": True}
+        ).encode()
+        request = urllib.request.Request(
+            f"http://{host}:{port}/assign",
+            data=body,
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        response = excinfo.value
+        assert held.entered.is_set()
+        assert response.code == 503
+        assert response.headers.get("Retry-After") == "1"
+        payload = json.loads(response.read())
+        assert "timed out" in payload["error"]["message"]
+        assert payload["error"]["code"] == 503
+        assert payload["error"]["trace_id"]
+        assert (
+            server.service.metrics.counter("serve.queue_rejections").value
+            == 1
+        )
+    finally:
+        held.gate.set()
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from repro.core.bst import BSTModel, DownloadStageFit
 from repro.core.config import BSTConfig
+from repro.obs import metrics as obs_metrics
 from repro.serve.engine import MicroBatcher, TierAssigner
 
 
@@ -141,16 +143,63 @@ def test_microbatch_concurrent_submitters(fitted_a, fresh_sample):
         assert group == expected.group_indices[i]
 
 
-def test_close_drains_pending_futures(fitted_a, fresh_sample):
+def test_idle_batcher_flushes_each_tuple_on_arrival(fitted_a, fresh_sample,
+                                                    gated):
     downs, ups = fresh_sample
-    # A huge flush interval: nothing flushes until close() drains.
-    batcher = MicroBatcher(
-        TierAssigner(fitted_a), max_batch=1024, flush_interval_s=60.0
-    )
-    futures = [batcher.submit(downs[i], ups[i]) for i in range(20)]
-    batcher.close()
-    assert all(fut.done() for fut in futures)
-    assert all(isinstance(fut.result()[0], int) for fut in futures)
+    assigner = TierAssigner(fitted_a)
+    held = gated(assigner)
+    held.gate.set()  # never hold: measure the idle path
+    n = 20
+    with obs_metrics.use_registry() as reg:
+        with MicroBatcher(held, max_batch=64) as batcher:
+            got = [
+                batcher.assign_one(downs[i], ups[i], timeout_s=10)
+                for i in range(n)
+            ]
+    # No timer waits for company: every lone tuple is its own flush.
+    assert reg.counter("serve.batch_flushes").value == n
+    assert held.sizes == [1] * n
+    assert got == [assigner.assign_one(downs[i], ups[i]) for i in range(n)]
+
+
+def test_tuples_queued_behind_a_held_flush_batch_up(fitted_a, fresh_sample,
+                                                    gated):
+    downs, ups = fresh_sample
+    assigner = TierAssigner(fitted_a)
+    held = gated(assigner)
+    n, max_batch = 50, 16
+    with obs_metrics.use_registry() as reg:
+        with MicroBatcher(held, max_batch=max_batch) as batcher:
+            first = batcher.submit(downs[0], ups[0])
+            assert held.entered.wait(10)
+            futures = [
+                batcher.submit(downs[i], ups[i]) for i in range(1, n + 1)
+            ]
+            held.gate.set()
+            got = [fut.result(timeout=10) for fut in [first, *futures]]
+    # The held flush took one tuple; the n queued behind it drain in
+    # ceil(n / max_batch) greedy flushes, each as full as it can be.
+    assert held.sizes == [1, 16, 16, 16, 2]
+    assert len(held.sizes) - 1 == math.ceil(n / max_batch)
+    assert reg.counter("serve.batch_flushes").value == len(held.sizes)
+    direct = assigner.assign(downs[: n + 1], ups[: n + 1])
+    assert [t for t, _ in got] == direct.tiers.tolist()
+    assert [g for _, g in got] == direct.group_indices.tolist()
+
+
+def test_close_drains_pending_futures(fitted_a, fresh_sample, gated):
+    downs, ups = fresh_sample
+    assigner = TierAssigner(fitted_a)
+    held = gated(assigner)
+    batcher = MicroBatcher(held, max_batch=1024)
+    first = batcher.submit(downs[0], ups[0])
+    assert held.entered.wait(10)
+    futures = [batcher.submit(downs[i], ups[i]) for i in range(1, 21)]
+    held.close_held(batcher, len(futures))
+    assert all(fut.done() for fut in [first, *futures])
+    assert held.sizes == [1, 20]
+    for i, fut in enumerate([first, *futures]):
+        assert fut.result() == assigner.assign_one(downs[i], ups[i])
 
 
 def test_submit_after_close_raises(fitted_a):
@@ -162,9 +211,7 @@ def test_submit_after_close_raises(fitted_a):
 
 
 def test_bad_tuple_propagates_exception(fitted_a):
-    with MicroBatcher(
-        TierAssigner(fitted_a), max_batch=1, flush_interval_s=0.001
-    ) as batcher:
+    with MicroBatcher(TierAssigner(fitted_a), max_batch=1) as batcher:
         fut = batcher.submit(float("nan"), 5.0)
         with pytest.raises(ValueError, match="finite"):
             fut.result(timeout=10)

@@ -9,6 +9,7 @@ whole pytest run).
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 
@@ -134,8 +135,11 @@ class TestMicroBatcherStress:
         assigner = TierAssigner(fits[0])
         downs, ups = fresh_sample
         per_thread = 50
-        batcher = MicroBatcher(assigner, max_batch=32,
-                               flush_interval_s=0.002)
+        batcher = MicroBatcher(assigner, max_batch=32)
+        # A short switch interval interleaves producers with the greedy
+        # drain far more often than the 5 ms default.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
             def worker(tid: int):
                 futures = []
@@ -154,6 +158,7 @@ class TestMicroBatcherStress:
                 pair for chunk in _run_threads(worker) for pair in chunk
             ]
         finally:
+            sys.setswitchinterval(switch)
             batcher.close()
         assert len(results) == N_THREADS * per_thread
         # Integrity: batched answers match the direct single assignment.
@@ -161,19 +166,29 @@ class TestMicroBatcherStress:
             assert (tier, group) == assigner.assign_one(downs[idx], ups[idx])
 
     def test_close_after_producers_finish_flushes_everything(
-        self, fits, fresh_sample
+        self, fits, fresh_sample, gated
     ):
         """close() drains the queue; pre-close submissions all resolve."""
         assigner = TierAssigner(fits[0])
+        held = gated(assigner)
         downs, ups = fresh_sample
-        batcher = MicroBatcher(assigner, max_batch=64,
-                               flush_interval_s=5.0)  # only close flushes
-        futures = [
-            batcher.submit(downs[i], ups[i], timeout_s=JOIN_TIMEOUT_S)
-            for i in range(40)
-        ]
-        batcher.close()
-        for i, fut in enumerate(futures):
+        batcher = MicroBatcher(held, max_batch=64)
+        first = batcher.submit(downs[0], ups[0], timeout_s=JOIN_TIMEOUT_S)
+        assert held.entered.wait(JOIN_TIMEOUT_S)
+        # Eight producers queue 40 tuples behind the held flush; only
+        # close()'s drain can flush them.
+        def worker(tid: int):
+            rows = range(1 + tid * 5, 1 + (tid + 1) * 5)
+            return [
+                (i, batcher.submit(downs[i], ups[i],
+                                   timeout_s=JOIN_TIMEOUT_S))
+                for i in rows
+            ]
+
+        futures = [pair for chunk in _run_threads(worker) for pair in chunk]
+        held.close_held(batcher, len(futures), timeout_s=JOIN_TIMEOUT_S)
+        assert held.sizes == [1, 40]
+        for i, fut in [(0, first), *futures]:
             tier, group = fut.result(timeout=JOIN_TIMEOUT_S)
             assert (tier, group) == assigner.assign_one(downs[i], ups[i])
 
