@@ -300,13 +300,12 @@ class AlertEngine:
             sp.set(n_events=len(events), n_active=n_active)
         for event in events:
             self._append_log(event)
-            self._count(f"serve.alerts_{event['event']}")
+            self.registry.counter(f"serve.alerts_{event['event']}").inc()
             log.warning(
                 "alert %s", event["event"],
                 extra=kv(rule=event["rule"], value=event["value"]),
             )
-        for registry in self._sinks():
-            registry.gauge("serve.alerts_active").set(float(n_active))
+        self.registry.gauge("serve.alerts_active").set(float(n_active))
         return events
 
     def active(self) -> list[dict[str, Any]]:
@@ -361,17 +360,6 @@ class AlertEngine:
             "t_mono_s": round(t, 3),
             "message": rule.message or rule.describe(),
         }
-
-    def _sinks(self) -> list[MetricsRegistry]:
-        registries = [self.registry]
-        active = obs_metrics.get_registry()
-        if active.enabled and active is not self.registry:
-            registries.append(active)  # type: ignore[arg-type]
-        return registries
-
-    def _count(self, name: str) -> None:
-        for registry in self._sinks():
-            registry.counter(name).inc()
 
     def _append_log(self, event: dict[str, Any]) -> None:
         if self.log_path is None:

@@ -55,6 +55,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "active_or_new",
     "counter",
     "gauge",
     "get_registry",
@@ -541,6 +542,21 @@ def set_registry(
     return previous
 
 
+def active_or_new(
+    clock: Callable[[], float] | None = None,
+) -> MetricsRegistry:
+    """The installed registry, or a new always-on one when none is.
+
+    A serving process calls this once, installs the answer, and builds
+    its server against it, so every instrument lands in the one
+    registry ``/metrics`` renders.  ``clock`` only reaches the new
+    registry; an installed one keeps its own.
+    """
+    if isinstance(_registry, MetricsRegistry):
+        return _registry
+    return MetricsRegistry(clock=clock)
+
+
 @contextmanager
 def use_registry(
     registry: MetricsRegistry | None = None,
@@ -552,7 +568,8 @@ def use_registry(
     >>> reg.counter("demo.count").value
     1.0
     """
-    registry = registry or MetricsRegistry()
+    # "is None": an empty registry has len() 0, so it is falsy.
+    registry = registry if registry is not None else MetricsRegistry()
     previous = set_registry(registry)
     try:
         yield registry

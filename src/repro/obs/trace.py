@@ -350,7 +350,8 @@ def use_collector(
     >>> [sp.name for sp in collector.spans()]
     ['demo.stage']
     """
-    collector = collector or SpanCollector()
+    # "is None": an empty collector has len() 0, so it is falsy.
+    collector = collector if collector is not None else SpanCollector()
     previous = set_collector(collector)
     try:
         yield collector

@@ -43,6 +43,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -230,8 +231,8 @@ class TierAssigner:
                 sp.set(trace_id=trace_id)
             labels = self._upload_predict(uploads)
             group_indices = self._component_groups[labels]
-            tiers, n_fallback = self._assign_downloads(
-                group_indices, downloads
+            tiers, n_fallback = self._assign_grouped(
+                group_indices, downloads, self._segment_tiers
             )
             sp.set(n_fallback=n_fallback)
         obs_metrics.counter("serve.assigned").inc(int(downloads.size))
@@ -251,18 +252,21 @@ class TierAssigner:
             n_fallback=n_fallback,
         )
 
-    def _assign_downloads(
-        self, group_indices: np.ndarray, downloads: np.ndarray
+    def _assign_grouped(
+        self,
+        group_indices: np.ndarray,
+        downloads: np.ndarray,
+        label_fn: Callable[[int, np.ndarray], np.ndarray],
     ) -> tuple[np.ndarray, int]:
-        """Grouped download-stage prediction over the whole batch.
+        """Per-group download labels over the whole batch.
 
-        A stable argsort segments the batch by upload group, so each
-        present group's predictor evaluates one contiguous slice and a
-        single inverse scatter restores request order.  The stable sort
-        keeps rows of a group in ascending request order -- exactly the
-        order the old per-group masking produced -- so tier labels stay
-        byte-identical while the per-group O(n) masking scans and
-        scattered writes disappear.
+        A stable argsort segments the batch by upload group, so
+        ``label_fn(group, segment)`` evaluates one contiguous slice per
+        present group and a single inverse scatter restores request
+        order.  The stable sort keeps rows of a group in ascending
+        request order -- exactly the order per-group masking produces --
+        so tier labels stay byte-identical.  Rows of groups with no
+        fitted download stage count as fallback rows.
         """
         order = np.argsort(group_indices, kind="stable")
         sorted_groups = group_indices[order]
@@ -273,18 +277,19 @@ class TierAssigner:
         n_fallback = 0
         for gi, lo, hi in zip(present, bounds[:-1], bounds[1:]):
             gi = int(gi)
-            segment = sorted_downloads[lo:hi]
-            predict = self._download_predict.get(gi)
-            if predict is None:
-                sorted_tiers[lo:hi] = self._fallback_assign(gi, segment)
-                n_fallback += segment.size
-            else:
-                sorted_tiers[lo:hi] = self._download_tiers[gi][
-                    predict(segment)
-                ]
+            sorted_tiers[lo:hi] = label_fn(gi, sorted_downloads[lo:hi])
+            if gi not in self._download_predict:
+                n_fallback += hi - lo
         tiers = np.empty(downloads.size, dtype=np.int64)
         tiers[order] = sorted_tiers
-        return tiers, n_fallback
+        return tiers, int(n_fallback)
+
+    def _segment_tiers(self, gi: int, downloads: np.ndarray) -> np.ndarray:
+        """Exact tiers of one upload group's downloads."""
+        predict = self._download_predict.get(gi)
+        if predict is None:
+            return self._fallback_assign(gi, downloads)
+        return self._download_tiers[gi][predict(downloads)]
 
     def _fallback_assign(self, gi: int, downloads: np.ndarray) -> np.ndarray:
         log_plans = self._fallback_log_downloads[gi]
@@ -428,14 +433,9 @@ class QuantizedLookup:
         for gi in np.unique(exact.group_indices):
             gi = int(gi)
             rows = exact.group_indices == gi
-            predict = assigner._download_predict.get(gi)
-            if predict is None:
-                label_fn = lambda d, g=gi: assigner._fallback_assign(g, d)
-            else:
-                label_fn = lambda d, g=gi, p=predict: (
-                    assigner._download_tiers[g][p(d)]
-                )
-            tables[gi] = _label_cuts(downloads[rows], label_fn)
+            tables[gi] = _label_cuts(
+                downloads[rows], partial(assigner._segment_tiers, gi)
+            )
         lookup = cls(assigner, upload_cuts, upload_labels, tables)
         verified = lookup.verify(downloads, uploads)
         if strict and not verified:
@@ -460,42 +460,16 @@ class QuantizedLookup:
         """Assign a batch via the threshold tables.
 
         Rows landing in upload groups the table was not built for run
-        through the exact predictors (same segment machinery as
-        :meth:`TierAssigner._assign_downloads`).
+        through the exact predictors (the same grouped loop as
+        :meth:`TierAssigner.assign`).
         """
         downloads, uploads = _validate_batch(downloads, uploads)
         group_indices = self._upload_labels[
             np.searchsorted(self._upload_cuts, uploads, side="right")
         ]
-        order = np.argsort(group_indices, kind="stable")
-        sorted_groups = group_indices[order]
-        sorted_downloads = downloads[order]
-        present, starts = np.unique(sorted_groups, return_index=True)
-        bounds = np.append(starts, sorted_groups.size)
-        sorted_tiers = np.empty(downloads.size, dtype=np.int64)
-        n_fallback = 0
-        for gi, lo, hi in zip(present, bounds[:-1], bounds[1:]):
-            gi = int(gi)
-            segment = sorted_downloads[lo:hi]
-            table = self._download_tables.get(gi)
-            if table is not None:
-                cuts, labels = table
-                sorted_tiers[lo:hi] = labels[
-                    np.searchsorted(cuts, segment, side="right")
-                ]
-            elif self.assigner._download_predict.get(gi) is not None:
-                predict = self.assigner._download_predict[gi]
-                sorted_tiers[lo:hi] = self.assigner._download_tiers[gi][
-                    predict(segment)
-                ]
-            else:
-                sorted_tiers[lo:hi] = self.assigner._fallback_assign(
-                    gi, segment
-                )
-            if self.assigner._download_predict.get(gi) is None:
-                n_fallback += segment.size
-        tiers = np.empty(downloads.size, dtype=np.int64)
-        tiers[order] = sorted_tiers
+        tiers, n_fallback = self.assigner._assign_grouped(
+            group_indices, downloads, self._segment_tiers
+        )
         obs_metrics.counter("serve.lookup_assigned").inc(
             int(downloads.size)
         )
@@ -507,6 +481,14 @@ class QuantizedLookup:
             group_indices=group_indices,
             n_fallback=n_fallback,
         )
+
+    def _segment_tiers(self, gi: int, downloads: np.ndarray) -> np.ndarray:
+        """Table tiers of one upload group; exact when it has no table."""
+        table = self._download_tables.get(gi)
+        if table is None:
+            return self.assigner._segment_tiers(gi, downloads)
+        cuts, labels = table
+        return labels[np.searchsorted(cuts, downloads, side="right")]
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

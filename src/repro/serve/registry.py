@@ -343,12 +343,12 @@ class ModelRegistry:
                 obj_path = self.object_path(digest)
                 if not obj_path.exists():
                     _atomic_write(obj_path, blob)
-                self._write_shared(digest, payload)
+                self._persist_shared(digest, payload)
                 with open(self.root / "index.lock", "wb") as lock:
                     fcntl.flock(lock, fcntl.LOCK_EX)  # other processes
                     entries = self._parse_index(self._index_bytes())
                     entries[key.slug] = record.to_dict()
-                    self._write_index(entries)
+                    self._persist_index(entries)
                 self._cache_put(digest, result)
             sp.set(digest=digest[:16], train_size=record.train_size)
         obs_metrics.counter("serve.registry.registered").inc()
@@ -416,7 +416,7 @@ class ModelRegistry:
             # Sidecar missing (registered by an older build): build it
             # from the JSON object once, then fall through to the map.
             result, _ = self.load(key)
-            self._write_shared(record.digest, bst_result_to_dict(result))
+            self._persist_shared(record.digest, bst_result_to_dict(result))
         with span("serve.registry.load_shared", key=key.slug):
             result = _read_shared(path)
         with self._lock:
@@ -443,7 +443,7 @@ class ModelRegistry:
         """The mmap sidecar path for a content digest."""
         return self.objects_dir / f"{digest}.arrays"
 
-    def _write_shared(self, digest: str, payload: dict) -> None:
+    def _persist_shared(self, digest: str, payload: dict) -> None:
         """Write the binary sidecar for a serialized fit (idempotent).
 
         Content-addressed and deterministic, so concurrent writers
@@ -620,7 +620,7 @@ class ModelRegistry:
             )
         return entries
 
-    def _write_index(self, entries: dict[str, Any]) -> None:
+    def _persist_index(self, entries: dict[str, Any]) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {
             "index_schema": INDEX_SCHEMA,

@@ -14,8 +14,8 @@ contract as the single-process server:
 - ``GET /healthz``  -- router process table plus every worker's own
   health document;
 - ``GET /metrics``  -- the workers' expositions scraped, parsed, and
-  aggregated (counters/gauges summed, quantile samples combined by
-  max) with the router's own ``serve.router.*`` instruments appended;
+  aggregated with the router's own ``serve.router.*`` instruments
+  (counters/gauges summed, quantile samples combined by max);
 - ``POST /reload``  -- fanned out to the owning shards (all shards for
   an empty body) so a model registered elsewhere hot-swaps every
   worker serving it.
@@ -50,7 +50,7 @@ from typing import Any
 
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import (
-    MetricsRegistry,
+    active_or_new,
     parse_prometheus_text,
     render_prometheus,
 )
@@ -263,7 +263,7 @@ class _RouterService:
         self.registry = registry
         self.config = config
         self.workers = workers
-        self.metrics = MetricsRegistry()
+        self.metrics = active_or_new()
         self._started = time.monotonic()
 
     # -- routing ---------------------------------------------------------
@@ -412,32 +412,41 @@ class _RouterService:
         }
 
     def metrics_text(self) -> str:
-        """One exposition: workers' samples merged + router's own.
+        """One exposition: the workers' and the router's samples merged.
 
-        Counter totals, rates, and plain gauges sum across workers;
-        quantile-labelled samples (summary/window percentiles) combine
-        by max — "worst shard" is the operative read for a latency
+        The router's registry is its process registry; under the run
+        ledger it also holds the CLI's instruments (a startup fit's
+        ``serve.assigned``), so its samples join the merge instead of
+        repeating a family.  Counter totals, rates, and plain gauges sum
+        across processes; quantile-labelled samples (summary/window
+        percentiles) combine by max — "worst shard" is the operative read for a latency
         quantile aggregated without raw observations.
         """
-        merged: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
-        maxed: set[tuple[str, tuple[tuple[str, str], ...]]] = set()
+        expositions = []
         for handle in self.workers:
             try:
                 text = self.scrape_worker(handle, "/metrics").decode("utf-8")
-                families = parse_prometheus_text(text)
+                expositions.append(parse_prometheus_text(text))
             except (urllib.error.URLError, OSError, ValueError) as exc:
                 log.warning(
                     "worker metrics scrape failed",
                     extra=kv(shard=handle.shard, error=str(exc)),
                 )
-                continue
+        expositions.append(
+            parse_prometheus_text(
+                render_prometheus(
+                    self.metrics, window_s=self.config.metrics_window_s
+                )
+            )
+        )
+        merged: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
+        for families in expositions:
             for name, samples in families.items():
                 for labels, value in samples:
                     if math.isnan(value):
                         continue
                     key = (name, tuple(sorted(labels.items())))
                     if "quantile" in labels:
-                        maxed.add(key)
                         merged[key] = max(merged.get(key, value), value)
                     else:
                         merged[key] = merged.get(key, 0.0) + value
@@ -455,10 +464,7 @@ class _RouterService:
             lines.append(
                 f"{rendered} {format(merged[(name, labels)], '.10g')}"
             )
-        own = render_prometheus(
-            self.metrics, window_s=self.config.metrics_window_s
-        )
-        return "\n".join(lines) + ("\n" + own if own else "\n")
+        return "\n".join(lines) + "\n"
 
     # -- per-request instruments (called by the request core) ----------
     def record_request(self) -> None:

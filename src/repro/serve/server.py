@@ -12,8 +12,8 @@ framework) exposing
 - ``GET /healthz`` -- liveness plus request counters, loaded-model
   count, per-model drift status, and active alerts;
 - ``GET /metrics`` -- Prometheus text exposition of the service's
-  dedicated registry (cumulative totals plus windowed rates and
-  latency quantiles; see docs/ALERTING.md);
+  registry (cumulative totals plus windowed rates and latency
+  quantiles; see docs/ALERTING.md);
 - ``POST /reload`` -- hot-swap models: drop loaded state (optionally
   limited to a ``{"slugs": [...]}`` body) so the next request resolves
   the freshest registration.
@@ -26,10 +26,13 @@ gets a ``trace_id`` (echoed in the ``X-Trace-Id`` response header,
 carrying ``method`` / ``path`` / ``status`` / ``trace_id``.  Requests
 feed the ``serve.requests`` counter, the ``serve.errors`` (+ per-class
 ``serve.errors_4xx`` / ``serve.errors_5xx``) counters, and
-per-endpoint / per-status-class latency histograms, into both the
-process-global registry (when observability is on) and a dedicated
-always-on :class:`~repro.obs.metrics.MetricsRegistry` that backs
-``/metrics``.  Assigned tuples also feed each loaded model's
+per-endpoint / per-status-class latency histograms.  The service writes
+each instrument once, into the registry it took from
+:func:`~repro.obs.metrics.active_or_new` when it was built: the process
+registry when one is installed (``repro serve`` and every worker install
+one first, so the engine, model-registry and micro-batcher counters
+render on ``/metrics`` too), else a private always-on one.  Assigned
+tuples also feed each loaded model's
 :class:`~repro.obs.window.WindowedMoments` over the trailing
 ``metrics_window_s``; the drift check compares those windowed
 download/upload means against the ``training_stats`` recorded at
@@ -70,7 +73,7 @@ from repro.obs.alerts import (
     load_rules,
 )
 from repro.obs.logging import get_logger, kv
-from repro.obs.metrics import MetricsRegistry, render_prometheus
+from repro.obs.metrics import render_prometheus
 from repro.obs.trace import should_sample, span
 from repro.obs.window import (
     DIRECTIONS,
@@ -158,10 +161,9 @@ class AssignmentService:
         self.clock = clock
         self._lock = threading.Lock()
         self._loaded: dict[str, _LoadedModel] = {}
-        # Dedicated registry: the service watches its own traffic even
-        # when global observability is off; it backs GET /metrics and
-        # the alert engine.
-        self.metrics = MetricsRegistry(clock=clock)
+        # One registry backs GET /metrics and the alert engine: the
+        # installed process registry, else a private always-on one.
+        self.metrics = obs_metrics.active_or_new(clock=clock)
         rules = (
             load_rules(config.alert_rules_path)
             if config.alert_rules_path
@@ -188,15 +190,6 @@ class AssignmentService:
             self._evaluator = AlertEvaluator(
                 self.alerts, interval_s=self.config.alert_interval_s
             ).start()
-
-    def _write_metrics(self, write: Callable[[Any], None]) -> None:
-        """Apply one instrument write to both metrics registries.
-
-        The dedicated registry is always on and backs ``/metrics``; the
-        process-global one is a no-op unless the CLI installed one.
-        """
-        write(self.metrics)
-        write(obs_metrics.get_registry())
 
     # -- model resolution ------------------------------------------------
     def resolve(
@@ -251,9 +244,7 @@ class AssignmentService:
             # Another thread may have raced us; keep the first.
             loaded = self._loaded.setdefault(key.slug, loaded)
             n_loaded = len(self._loaded)
-        self._write_metrics(
-            lambda r: r.gauge("serve.models_loaded").set(n_loaded)
-        )
+        self.metrics.gauge("serve.models_loaded").set(n_loaded)
         return loaded
 
     def batcher_for(self, loaded: _LoadedModel) -> MicroBatcher:
@@ -371,9 +362,7 @@ class AssignmentService:
                     self.config.drift_min_samples,
                 )
             if self._drift_flags.rose(model.key.slug, drifted):
-                self._write_metrics(
-                    lambda r: r.counter("serve.drift_flags").inc()
-                )
+                self.metrics.counter("serve.drift_flags").inc()
                 log.warning(
                     "serving traffic drifted from training distribution",
                     extra=kv(model=model.key.slug),
@@ -415,32 +404,24 @@ class AssignmentService:
     # -- health / lifecycle ----------------------------------------------
     def record_request(self) -> None:
         """Count a request."""
-        self._write_metrics(lambda r: r.counter("serve.requests").inc())
+        self.metrics.counter("serve.requests").inc()
 
     def record_error(self) -> None:
         """Count a failed request."""
-        self._write_metrics(lambda r: r.counter("serve.errors").inc())
+        self.metrics.counter("serve.errors").inc()
 
     def observe_http(
         self, endpoint: str, status: int, elapsed_s: float
     ) -> None:
         """Feed one finished request into the latency/status instruments."""
-        status_class = f"{status // 100}xx"
-
-        def write(registry) -> None:
-            registry.histogram("serve.request_latency_s").observe(
-                elapsed_s
-            )
-            registry.histogram(f"serve.latency.{endpoint}").observe(
-                elapsed_s
-            )
-            registry.counter(f"serve.status.{status_class}").inc()
-            if status >= 500:
-                registry.counter("serve.errors_5xx").inc()
-            elif status >= 400:
-                registry.counter("serve.errors_4xx").inc()
-
-        self._write_metrics(write)
+        metrics = self.metrics
+        metrics.histogram("serve.request_latency_s").observe(elapsed_s)
+        metrics.histogram(f"serve.latency.{endpoint}").observe(elapsed_s)
+        metrics.counter(f"serve.status.{status // 100}xx").inc()
+        if status >= 500:
+            metrics.counter("serve.errors_5xx").inc()
+        elif status >= 400:
+            metrics.counter("serve.errors_4xx").inc()
 
     def health(self) -> dict[str, Any]:
         with self._lock:
@@ -485,12 +466,8 @@ class AssignmentService:
         _close_batchers(dropped)
         for slug in victims:
             self._drift_flags.forget(slug)
-
-        def write(registry) -> None:
-            registry.counter("serve.reloads").inc()
-            registry.gauge("serve.models_loaded").set(n_loaded)
-
-        self._write_metrics(write)
+        self.metrics.counter("serve.reloads").inc()
+        self.metrics.gauge("serve.models_loaded").set(n_loaded)
         log.info(
             "hot-swapped models",
             extra=kv(models=",".join(victims) if victims else "(none)"),
@@ -531,9 +508,7 @@ class _Handler(JsonRequestHandler):
         if not should_sample(self._trace_id, service.config.trace_sample_rate):
             yield
             return
-        service._write_metrics(
-            lambda r: r.counter("serve.traces_sampled").inc()
-        )
+        service.metrics.counter("serve.traces_sampled").inc()
         with span(
             "serve.request",
             method=self.command,
@@ -577,9 +552,7 @@ class _Handler(JsonRequestHandler):
             # that outlived its wait) and shutdown are retryable
             # conditions, not internal errors: answer a structured 503
             # with Retry-After instead of a generic 500.
-            service._write_metrics(
-                lambda r: r.counter("serve.queue_rejections").inc()
-            )
+            service.metrics.counter("serve.queue_rejections").inc()
             if isinstance(exc, queue.Full):
                 reason = "assignment queue is saturated"
             elif isinstance(exc, FutureTimeoutError):

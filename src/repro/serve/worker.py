@@ -8,14 +8,16 @@
 endpoint and parses the ``serving on http://host:port`` line each
 worker prints once its ephemeral port is bound.
 
-Workers load models through the registry's mmap'd ``.arrays`` sidecar
-by default (``--no-mmap`` opts out), so N processes serving the same
-model share one page-cache copy of the big per-row arrays instead of
-each parsing the JSON object.  ``--quantized`` serves through the
-registered byte-identity-proven lookup tables where available.
+Workers always load models through the registry's mmap'd ``.arrays``
+sidecar, so N processes serving the same model share one page-cache
+copy of the big per-row arrays instead of each parsing the JSON
+object.  ``--quantized`` serves through the registered
+byte-identity-proven lookup tables where available.
 
 A worker is a complete server: it keeps its own micro-batchers, drift
-windows, refit samples and always-on metrics registry, and shuts down
+windows and refit samples, and installs one process metrics registry
+before it builds the server, so the engine, model-registry, batcher and
+refit counters all render on its ``/metrics``.  It shuts down
 gracefully on SIGTERM (the router stops workers exactly that way).
 ``--refit-interval`` (passed on by ``repro serve --refit``) runs a
 refit scheduler on the worker's own service: the shard owner refits.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.obs.metrics import active_or_new, use_registry
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import ServeConfig, build_server, serve_until_shutdown
 
@@ -68,11 +71,6 @@ def main(argv: list[str] | None = None) -> int:
         help="refit scheduler poll period in seconds; 0 disables",
     )
     parser.add_argument("--jobs", type=int, default=1, help="refit fit jobs")
-    parser.add_argument(
-        "--no-mmap",
-        action="store_true",
-        help="load models from JSON objects instead of the mmap sidecar",
-    )
     args = parser.parse_args(argv)
     if not 0 <= args.shard < args.shards:
         parser.error(
@@ -86,25 +84,26 @@ def main(argv: list[str] | None = None) -> int:
         alert_interval_s=args.alert_interval,
         alert_log=args.alert_log,
         shard=(args.shard, args.shards),
-        mmap_models=not args.no_mmap,
+        mmap_models=True,
         quantized=args.quantized,
     )
-    server = build_server(ModelRegistry(args.registry), config)
-    scheduler = None
-    if args.refit_interval > 0:
-        from repro.stream.attach import attach_refit
+    with use_registry(active_or_new()):
+        server = build_server(ModelRegistry(args.registry), config)
+        scheduler = None
+        if args.refit_interval > 0:
+            from repro.stream.attach import attach_refit
 
-        scheduler = attach_refit(
-            server.service, interval_s=args.refit_interval, jobs=args.jobs
-        )
-    host, port = server.server_address[:2]
-    # The router's supervisor parses this exact line for the bound port.
-    print(f"serving on http://{host}:{port}", flush=True)
-    try:
-        return serve_until_shutdown(server)
-    finally:
-        if scheduler is not None:
-            scheduler.stop()
+            scheduler = attach_refit(
+                server.service, interval_s=args.refit_interval, jobs=args.jobs
+            )
+        host, port = server.server_address[:2]
+        # The router's supervisor parses this exact line for the bound port.
+        print(f"serving on http://{host}:{port}", flush=True)
+        try:
+            return serve_until_shutdown(server)
+        finally:
+            if scheduler is not None:
+                scheduler.stop()
 
 
 if __name__ == "__main__":

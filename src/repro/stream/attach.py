@@ -26,9 +26,10 @@ def attach_refit(
 ) -> RefitScheduler:
     """Start a :class:`RefitScheduler` polling ``service``.
 
-    The scheduler runs on the service's clock and writes its
-    ``stream.*`` instruments into the service's ``/metrics`` registry.
-    The caller owns ``scheduler.stop()`` at shutdown.
+    The scheduler runs on the service's clock.  Its ``stream.*``
+    instruments reach the service's ``/metrics`` when the service was
+    built on the installed process registry, as ``repro serve`` builds
+    it.  The caller owns ``scheduler.stop()`` at shutdown.
     """
     scheduler = RefitScheduler(
         registry=service.registry,
@@ -36,7 +37,6 @@ def attach_refit(
         clock=service.clock,
         jobs=jobs,
         ledger_path=ledger_path,
-        metrics=service.metrics,
     )
     scheduler.start(interval_s=interval_s)
     log.info("refit scheduler attached", extra=kv(interval_s=interval_s))

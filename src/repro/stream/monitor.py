@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger, kv
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.quality import FieldMonitor
 from repro.obs.window import (
     DIRECTIONS,
@@ -106,9 +105,6 @@ class StreamMonitor:
     registry:
         Serving model registry whose ``training_stats`` are the drift
         baseline; groups with no registered model never report drift.
-    metrics:
-        Optional :class:`MetricsRegistry` that receives the ``stream.*``
-        instruments in addition to the global one.
     clock:
         Injectable monotonic clock; used only for the ``stream.lag_s``
         gauge.  ``None`` disables lag tracking (pure simulation).
@@ -131,7 +127,6 @@ class StreamMonitor:
     def __init__(
         self,
         registry: ModelRegistry | None = None,
-        metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] | None = None,
         window_s: float = 60.0,
         drift_rel_threshold: float = 0.5,
@@ -145,7 +140,6 @@ class StreamMonitor:
         if sample_cap < 1:
             raise ValueError("sample_cap must be >= 1")
         self.registry = registry
-        self.metrics = metrics
         self.clock = clock
         self.window_s = float(window_s)
         self.drift_rel_threshold = float(drift_rel_threshold)
@@ -208,10 +202,12 @@ class StreamMonitor:
                 self._observe_bins(group, downloads, np.asarray(hours))
             self.n_events += int(downloads.size)
             self.n_batches += 1
-        self._bump("stream.events", downloads.size)
-        self._bump("stream.batches", 1)
+        obs_metrics.counter("stream.events").inc(downloads.size)
+        obs_metrics.counter("stream.batches").inc()
         if self.clock is not None:
-            self._gauge("stream.lag_s", max(self.clock() - t_s, 0.0))
+            obs_metrics.gauge("stream.lag_s").set(
+                max(self.clock() - t_s, 0.0)
+            )
 
     def _observe_tiers(
         self, group: GroupStats, t_s: float, tiers: np.ndarray
@@ -291,7 +287,7 @@ class StreamMonitor:
                     row["observed_p50"] = snap.p50
                     row["observed_p95"] = snap.p95
             if self._drift_flags.rose(slug, drifted):
-                self._bump("stream.drift_flags", 1)
+                obs_metrics.counter("stream.drift_flags").inc()
                 log.warning(
                     "stream traffic drifted from training distribution",
                     extra=kv(model=slug, group=f"{group.city}|{group.isp}"),
@@ -307,7 +303,7 @@ class StreamMonitor:
                     "directions": directions,
                 }
             )
-        self._gauge("stream.drifted_models", float(n_drifted))
+        obs_metrics.gauge("stream.drifted_models").set(float(n_drifted))
         return out
 
     # -- disruptions -----------------------------------------------------
@@ -327,7 +323,7 @@ class StreamMonitor:
             ):
                 key = (group.city, group.isp, kind)
                 if self._disruption_flags.rose(key, event is not None):
-                    self._bump("stream.disruptions", 1)
+                    obs_metrics.counter("stream.disruptions").inc()
                     log.warning(
                         "stream disruption detected",
                         extra=kv(kind=kind, group=f"{group.city}|{group.isp}"),
@@ -391,14 +387,3 @@ class StreamMonitor:
     def group_names(self) -> list[tuple[str, str]]:
         with self._lock:
             return sorted(self._groups)
-
-    # -- instrument plumbing --------------------------------------------
-    def _bump(self, name: str, n: float) -> None:
-        obs_metrics.counter(name).inc(n)
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(n)
-
-    def _gauge(self, name: str, value: float) -> None:
-        obs_metrics.gauge(name).set(value)
-        if self.metrics is not None:
-            self.metrics.gauge(name).set(value)

@@ -21,7 +21,7 @@ from typing import Any, Union
 from repro.core.bst import BSTConfig, BSTModel
 from repro.obs.alerts import AlertEngine, default_serve_rules
 from repro.obs.logging import get_logger, kv
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import active_or_new
 from repro.serve.registry import ModelRecord, ModelRegistry
 from repro.stream.clock import SimClock
 from repro.stream.firehose import MeasurementStream, StreamMux
@@ -80,7 +80,8 @@ class StreamSession:
     alerts:
         Optional :class:`AlertEngine` evaluated on the same cadence;
         None builds one from :func:`default_serve_rules` wired to the
-        monitor's verdicts.
+        monitor's verdicts, reading the installed process registry
+        (a new one on ``clock`` when none is installed).
     """
 
     def __init__(
@@ -95,7 +96,7 @@ class StreamSession:
         if alerts is None:
             alerts = AlertEngine(
                 default_serve_rules(),
-                registry=monitor.metrics or MetricsRegistry(clock=clock),
+                registry=active_or_new(clock=clock),
                 drift_provider=monitor.verdicts,
                 clock=clock,
             )

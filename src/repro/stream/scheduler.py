@@ -43,7 +43,6 @@ import numpy as np
 from repro.core.bst import BSTConfig, BSTModel
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger, kv
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.runs import RunLedger, RunRecorder, default_ledger_path
 from repro.obs.trace import span
 from repro.serve.registry import ModelKey, ModelRegistry
@@ -101,9 +100,6 @@ class RefitScheduler:
     ledger_path:
         Run-ledger path for refit provenance; defaults to
         :func:`repro.obs.runs.default_ledger_path` (None disables).
-    metrics:
-        Optional extra :class:`MetricsRegistry` for ``stream.*``
-        instruments (the global one always gets them).
     """
 
     def __init__(
@@ -116,7 +112,6 @@ class RefitScheduler:
         reload_cb: Callable[[list[str]], Any] | None = None,
         jobs: int = 1,
         ledger_path: str | None = "auto",
-        metrics: MetricsRegistry | None = None,
     ):
         if clock is None:
             raise ValueError(
@@ -133,7 +128,6 @@ class RefitScheduler:
         self.ledger_path = (
             default_ledger_path() if ledger_path == "auto" else ledger_path
         )
-        self.metrics = metrics
         self._lock = threading.Lock()
         self._breach_since: dict[str, float] = {}
         self._last_refit: dict[str, float] = {}
@@ -174,8 +168,8 @@ class RefitScheduler:
                 self._last_refit[verdict["model"]] = now
         if not due:
             return []
-        n_due = float(len(due))
-        self._write(lambda r: r.gauge("stream.active_refits").set(n_due))
+        active = obs_metrics.gauge("stream.active_refits")
+        active.set(float(len(due)))
         completed: list[dict[str, Any]] = []
         try:
             for verdict in due:
@@ -183,7 +177,7 @@ class RefitScheduler:
                 if outcome is not None:
                     completed.append(outcome)
         finally:
-            self._write(lambda r: r.gauge("stream.active_refits").set(0.0))
+            active.set(0.0)
         if completed and self.reload_cb is not None:
             slugs = [c["model"] for c in completed]
             try:
@@ -225,7 +219,7 @@ class RefitScheduler:
                 )
         except Exception as exc:
             self.n_failures += 1
-            self._write(lambda r: r.counter("stream.refit_failures").inc())
+            obs_metrics.counter("stream.refit_failures").inc()
             log.error(
                 "refit failed", extra=kv(model=slug, error=repr(exc))
             )
@@ -233,12 +227,8 @@ class RefitScheduler:
         t_done = self.clock()
         self.n_refits += 1
         latency = t_done - verdict["breach_since"]
-
-        def write(registry) -> None:
-            registry.counter("stream.refits").inc()
-            registry.histogram("stream.refit_latency_s").observe(latency)
-
-        self._write(write)
+        obs_metrics.counter("stream.refits").inc()
+        obs_metrics.histogram("stream.refit_latency_s").observe(latency)
         log.info(
             "refit shard",
             extra=kv(
@@ -349,12 +339,6 @@ class RefitScheduler:
         if thread is not None:
             thread.join(timeout=10)
             self._thread = None
-
-    def _write(self, write: Callable[[Any], Any]) -> None:
-        """Apply one instrument write to the global and extra registry."""
-        write(obs_metrics.get_registry())
-        if self.metrics is not None:
-            write(self.metrics)
 
 
 def _jsonable(value: Any) -> Any:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs.metrics import (
     MetricsRegistry,
+    active_or_new,
     counter,
     gauge,
     get_registry,
@@ -14,6 +15,7 @@ from repro.obs.metrics import (
     set_registry,
     use_registry,
 )
+from repro.obs.trace import SpanCollector, get_collector, use_collector
 
 
 class TestNullDefault:
@@ -153,6 +155,35 @@ class TestRegistry:
         with use_registry():
             assert get_registry() is not before
         assert get_registry() is before
+
+    @pytest.mark.parametrize(
+        "use, make, get",
+        [
+            (use_registry, MetricsRegistry, get_registry),
+            (use_collector, SpanCollector, get_collector),
+        ],
+        ids=["registry", "collector"],
+    )
+    def test_scoped_install_keeps_an_empty_argument(self, use, make, get):
+        empty = make()
+        assert len(empty) == 0  # falsy, yet it is the one to install
+        with use(empty) as installed:
+            assert installed is empty
+            assert get() is empty
+
+    def test_active_or_new_returns_the_installed_registry(self):
+        with use_registry() as reg:
+            assert active_or_new() is reg
+
+    def test_active_or_new_without_one_is_a_fresh_clocked_registry(self):
+        now = [5.0]
+        reg = active_or_new(clock=lambda: now[0])
+        assert reg is not active_or_new()
+        assert not get_registry().enabled  # nothing was installed
+        reg.counter("c").inc(3)
+        now[0] += 120.0  # past the default 60 s window
+        assert reg.counter("c").window_sum() == 0.0
+        assert reg.counter("c").value == 3.0
 
     def test_set_registry_none_restores_null(self):
         previous = set_registry(MetricsRegistry())

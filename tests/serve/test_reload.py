@@ -67,12 +67,9 @@ class TestReloadEndpoint:
 
     def test_reload_counter_moves(self, swap_env):
         _, _, client, _ = swap_env
-        previous = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
-        try:
-            client.reload()
-            assert obs_metrics.counter("serve.reloads").value == 1
-        finally:
-            obs_metrics.set_registry(previous)
+        client.reload()
+        series = obs_metrics.parse_prometheus_text(client.metrics_text())
+        assert series["serve_reloads_total"][0][1] == 1
 
 
 class TestHotSwapUnderLoad:

@@ -19,11 +19,20 @@ import pytest
 
 from repro.core.bst import BSTModel
 from repro.market.isps import city_catalog
-from repro.obs.metrics import parse_prometheus_text
+from repro.obs.metrics import (
+    MetricsRegistry,
+    parse_prometheus_text,
+    use_registry,
+)
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.engine import TierAssigner
 from repro.serve.registry import ModelRegistry, shard_for
-from repro.serve.router import RouterConfig, build_router
+from repro.serve.router import (
+    RouterConfig,
+    WorkerHandle,
+    _RouterService,
+    build_router,
+)
 from repro.serve.server import ServeConfig, build_server
 from repro.vendors.ookla import OoklaSimulator
 
@@ -121,6 +130,52 @@ def test_metrics_aggregate_across_workers(fleet):
     assert families["serve_router_requests_total"][0][1] > 0
     assert families["serve_router_forwarded_total"][0][1] > 0
     assert families["serve_router_workers_alive"][0][1] == N_WORKERS
+
+
+def test_engine_counters_reach_the_router_metrics(fleet):
+    """Each worker renders its engine counters on its own /metrics, so
+    the router's merged exposition counts every row assigned, across
+    both shards.  A fresh fleet on the same store starts from zero."""
+    _, server, models = fleet
+    fresh = build_router(
+        server.router.registry.root,
+        RouterConfig(port=0, n_workers=N_WORKERS, default_city="A"),
+    )
+    thread = threading.Thread(target=fresh.serve_forever, daemon=True)
+    thread.start()
+    host, port = fresh.server_address[:2]
+    client = ServeClient(f"http://{host}:{port}", timeout_s=60.0)
+    sent = {"A": 7, "B": 5}
+    try:
+        for city, n in sent.items():
+            _, downs, ups = models[city]
+            client.assign(downs[:n].tolist(), ups[:n].tolist(), city=city)
+        families = parse_prometheus_text(client.metrics_text())
+    finally:
+        fresh.shutdown()
+        fresh.server_close()
+        thread.join(timeout=30)
+    assert families["serve_assigned_total"] == [({}, sum(sent.values()))]
+
+
+def test_router_samples_join_the_worker_merge(tmp_path):
+    """The router's process registry may hold a family its workers also
+    report (a startup fit's rows under the run ledger); the merged
+    exposition names it once, summed."""
+    config = RouterConfig(n_workers=2)
+    with use_registry(MetricsRegistry()) as installed:
+        router = _RouterService(
+            ModelRegistry(tmp_path),
+            config,
+            [WorkerHandle(shard, tmp_path, config) for shard in (0, 1)],
+        )
+    assert router.metrics is installed
+    installed.counter("serve.assigned").inc(9000)
+    router.scrape_worker = lambda handle, path: (
+        b"# TYPE serve_assigned_total counter\nserve_assigned_total 1\n"
+    )
+    families = parse_prometheus_text(router.metrics_text())
+    assert families["serve_assigned_total"] == [({}, 9002.0)]
 
 
 def test_error_relay_keeps_structured_body(fleet):

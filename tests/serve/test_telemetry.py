@@ -24,7 +24,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.obs.metrics import parse_prometheus_text
+from repro.obs.metrics import (
+    MetricsRegistry,
+    parse_prometheus_text,
+    use_registry,
+)
 from repro.obs.trace import use_collector
 from repro.obs.watch import render_snapshot, take_snapshot, watch
 from repro.serve.client import ServeClient, ServeError
@@ -69,6 +73,42 @@ def served_telemetry(tmp_path_factory, fitted_a, request):
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
+
+
+class TestOneRegistry:
+    def test_installed_registry_is_written_once_and_rendered(
+        self, tmp_path, fitted_a, ookla_a, catalog_a
+    ):
+        """A server built under an installed registry writes each request
+        into it exactly once, and /metrics renders the engine counters."""
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.register(
+            registry.key_for("A", catalog_a),
+            fitted_a,
+            downloads=np.asarray(ookla_a["download_mbps"], dtype=float),
+            uploads=np.asarray(ookla_a["upload_mbps"], dtype=float),
+        )
+        n_requests, rows = 4, 3
+        with use_registry(MetricsRegistry()) as reg:
+            server = build_server(
+                registry, ServeConfig(port=0, default_city="A")
+            )
+            thread = threading.Thread(target=server.serve_forever)
+            thread.start()
+            host, port = server.server_address[:2]
+            client = ServeClient(f"http://{host}:{port}")
+            try:
+                assert server.service.metrics is reg
+                for _ in range(n_requests):
+                    client.assign([110.0] * rows, [5.5] * rows)
+                assert reg.counter("serve.requests").value == n_requests
+                families = parse_prometheus_text(client.metrics_text())
+            finally:
+                server.shutdown()
+                server.server_close()
+                thread.join(timeout=10)
+        assert families["serve_assigned_total"][0][1] == n_requests * rows
+        assert families["serve_registry_hits_total"][0][1] >= 1
 
 
 class TestMetricsEndpoint:

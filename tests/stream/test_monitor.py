@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import use_registry
 from repro.obs.window import WindowedMoments
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import AssignmentService, ServeConfig
@@ -136,10 +136,8 @@ class TestVerdicts:
 
     def test_drift_flag_counts_transitions_only(self, registered):
         registry, _ = registered
-        metrics = MetricsRegistry()
         monitor = StreamMonitor(
             registry=registry,
-            metrics=metrics,
             window_s=30.0,
             min_samples=100,
         )
@@ -150,8 +148,9 @@ class TestVerdicts:
                 batch.downloads * 0.2, batch.uploads * 0.2,
                 t_s=batch.t_s,
             )
-        before = monitor.verdicts()
-        again = monitor.verdicts()
+        with use_registry() as metrics:
+            before = monitor.verdicts()
+            again = monitor.verdicts()
         assert before[0]["drifted"] and again[0]["drifted"]
         # Repeated polls do not re-count the same breach.
         assert metrics.counter("stream.drift_flags").value == 1
@@ -269,10 +268,7 @@ class TestDisruptions:
         assert congestion["time_bin"] == 0
 
     def test_disruptions_count_transitions_only(self):
-        metrics = MetricsRegistry()
-        monitor = StreamMonitor(
-            metrics=metrics, window_s=10.0, min_samples=100
-        )
+        monitor = StreamMonitor(window_s=10.0, min_samples=100)
         hours = np.zeros(400, dtype=np.int64)
         monitor.observe_arrays(
             "A", "ISP-A", np.full(400, 100.0), np.full(400, 10.0),
@@ -282,8 +278,9 @@ class TestDisruptions:
             "A", "ISP-A", np.full(200, 20.0), np.full(200, 2.0),
             hours=hours[:200], t_s=500.0,
         )
-        first = monitor.disruptions()
-        second = monitor.disruptions()
+        with use_registry() as metrics:
+            first = monitor.disruptions()
+            second = monitor.disruptions()
         assert len(first) == len(second) == 1
         assert first[0]["kind"] == "congestion"
         assert metrics.counter("stream.disruptions").value == 1

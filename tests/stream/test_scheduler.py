@@ -31,7 +31,6 @@ class StubMonitor:
     def __init__(self):
         self.verdict_list: list[dict] = []
         self.rebaselined: list[tuple[str, str]] = []
-        self.metrics = None
         self.sample_n = 500
 
     def verdicts(self):

@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.core.bst import BSTModel
-from repro.obs.metrics import parse_prometheus_text, render_prometheus
+from repro.obs.metrics import (
+    MetricsRegistry,
+    parse_prometheus_text,
+    render_prometheus,
+    use_registry,
+)
 from repro.obs.runs import RunLedger
 from repro.serve.client import ServeClient
 from repro.serve.engine import TierAssigner
@@ -65,6 +70,13 @@ def served_lifecycle(tmp_path_factory):
     stream = _stream()
     record = warmup_and_register(stream, registry)
     now = [0.0]
+    # The scheduler writes into the installed registry; the service
+    # built under it renders that same registry on /metrics.
+    with use_registry(MetricsRegistry(clock=lambda: now[0])):
+        return _serve_drifted(registry, stream, record, now)
+
+
+def _serve_drifted(registry, stream, record, now):
     service = AssignmentService(
         registry,
         ServeConfig(
@@ -87,7 +99,6 @@ def served_lifecycle(tmp_path_factory):
         policy=RefitPolicy(min_hold_s=2.0, cooldown_s=300.0),
         clock=lambda: now[0],
         ledger_path=None,
-        metrics=service.metrics,
     )
     health_rows: list[list[dict]] = []
     refits: list[dict] = []
@@ -216,32 +227,35 @@ def test_attached_scheduler_metrics_reach_the_service(tmp_path):
     stream = _stream()
     record = warmup_and_register(stream, registry)
     now = [0.0]
-    service = AssignmentService(
-        registry,
-        ServeConfig(default_city="A", alert_interval_s=0.0),
-        clock=lambda: now[0],
-    )
-    for batch in stream.batches(5):
-        service.assign_payload(
-            {
-                "downloads": (batch.downloads * 0.3).tolist(),
-                "uploads": (batch.uploads * 0.3).tolist(),
-            }
+    # The daemon writes into the installed registry, which the service
+    # built under it renders.
+    with use_registry(MetricsRegistry(clock=lambda: now[0])) as installed:
+        service = AssignmentService(
+            registry,
+            ServeConfig(default_city="A", alert_interval_s=0.0),
+            clock=lambda: now[0],
         )
-    assert service.verdicts()[0]["drifted"]
-    scheduler = attach_refit(service, interval_s=0.02, ledger_path=None)
-    try:
-        assert scheduler.metrics is service.metrics
-        assert scheduler.clock is service.clock
-        deadline = time.monotonic() + 60
-        while scheduler.n_refits == 0:
-            # Hold the breach past the default 5 s min-hold.
-            now[0] = 6.0
-            assert time.monotonic() < deadline, "no refit happened"
-            time.sleep(0.02)
-    finally:
-        scheduler.stop()
-        service.close()
+        assert service.metrics is installed
+        for batch in stream.batches(5):
+            service.assign_payload(
+                {
+                    "downloads": (batch.downloads * 0.3).tolist(),
+                    "uploads": (batch.uploads * 0.3).tolist(),
+                }
+            )
+        assert service.verdicts()[0]["drifted"]
+        scheduler = attach_refit(service, interval_s=0.02, ledger_path=None)
+        try:
+            assert scheduler.clock is service.clock
+            deadline = time.monotonic() + 60
+            while scheduler.n_refits == 0:
+                # Hold the breach past the default 5 s min-hold.
+                now[0] = 6.0
+                assert time.monotonic() < deadline, "no refit happened"
+                time.sleep(0.02)
+        finally:
+            scheduler.stop()
+            service.close()
     assert registry.lookup(record.key).digest != record.digest
     text = render_prometheus(service.metrics)
     assert "stream_refits_total 1" in text
