@@ -36,7 +36,7 @@ from repro.obs.runs import record_bench
 from repro.pipeline.contextualize import contextualize
 from repro.serve.engine import QuantizedLookup, TierAssigner
 from repro.serve.registry import ModelRegistry
-from repro.serve.router import RouterConfig, build_router
+from repro.serve.router import build_router
 from repro.serve.server import ServeConfig, build_server
 from repro.vendors.ookla import OoklaSimulator
 
@@ -195,8 +195,8 @@ def test_warm_registry_vs_refit_and_throughput(benchmark, tmp_path):
             )
         router = build_router(
             tmp_path / "models",
-            RouterConfig(
-                port=0, n_workers=ROUTER_WORKERS, default_city="A"
+            ServeConfig(
+                port=0, workers=ROUTER_WORKERS, default_city="A"
             ),
         )
         router_thread = threading.Thread(

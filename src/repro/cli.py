@@ -675,13 +675,10 @@ def _cmd_challenge(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.obs.metrics import active_or_new, use_registry
+    from repro.obs import trace as obs_trace
     from repro.serve.registry import ModelRegistry
-    from repro.serve.server import (
-        ServeConfig,
-        build_server,
-        serve_until_shutdown,
-    )
+    from repro.serve.server import ServeConfig
+    from repro.serve.worker import run
 
     registry = ModelRegistry(args.registry)
     catalog = city_catalog(args.city)
@@ -696,61 +693,28 @@ def _cmd_serve(args) -> int:
         contextualize(
             tests, catalog, registry=registry, city=args.city, jobs=args.jobs
         )
-    alert_log = args.alert_log if args.alert_log != "off" else None
-    # One registry per serving process: the server, its engine and an
-    # attached refit scheduler all write into the one /metrics renders.
-    with use_registry(active_or_new()):
-        if args.workers > 1:
-            from repro.serve.router import RouterConfig, build_router
-
-            server = build_router(
-                args.registry,
-                RouterConfig(
-                    host=args.host,
-                    port=args.port,
-                    n_workers=args.workers,
-                    default_city=args.city,
-                    worker_quantized=args.quantized,
-                    worker_trace_sample=args.trace_sample,
-                    refit_interval_s=(
-                        args.refit_interval if args.refit else 0.0
-                    ),
-                    refit_jobs=args.jobs,
-                    refit_ledger=args.resolved_ledger,
-                ),
-            )
-        else:
-            server = build_server(
-                registry,
-                ServeConfig(
-                    host=args.host,
-                    port=args.port,
-                    default_city=args.city,
-                    trace_sample_rate=args.trace_sample,
-                    alert_rules_path=args.alert_rules,
-                    alert_log=alert_log,
-                    alert_interval_s=args.alert_interval,
-                    quantized=args.quantized,
-                ),
-            )
-        scheduler = None
-        if args.refit and args.workers <= 1:
-            from repro.stream.attach import attach_refit
-
-            scheduler = attach_refit(
-                server.service,
-                interval_s=args.refit_interval,
-                jobs=args.jobs,
-                ledger_path=args.resolved_ledger,
-            )
-        host, port = server.server_address[:2]
-        # The smoke test and tooling parse this line to find the bound port.
-        print(f"serving on http://{host}:{port}", flush=True)
-        try:
-            return serve_until_shutdown(server)
-        finally:
-            if scheduler is not None:
-                scheduler.stop()
+    if not args.trace_out:
+        # The run ledger keeps the startup fit's spans but none per
+        # request: a long-running server would retain them without
+        # bound.  _run_with_obs reinstalls its collector on return.
+        obs_trace.set_collector(None)
+    return run(
+        args.registry,
+        ServeConfig(
+            host=args.host,
+            port=args.port,
+            default_city=args.city,
+            trace_sample_rate=args.trace_sample,
+            alert_rules_path=args.alert_rules,
+            alert_log=args.alert_log if args.alert_log != "off" else None,
+            alert_interval_s=args.alert_interval,
+            quantized=args.quantized,
+            workers=args.workers,
+            refit_interval_s=args.refit_interval if args.refit else 0.0,
+            refit_jobs=args.jobs,
+            refit_ledger=args.resolved_ledger,
+        ),
+    )
 
 
 def _cmd_stream_run(args) -> int:

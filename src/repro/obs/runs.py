@@ -56,8 +56,6 @@ MANIFEST_SCHEMA = 1
 
 DEFAULT_LEDGER = "results/runs.jsonl"
 
-LEDGER_ENV = "REPRO_LEDGER"
-
 
 # ---------------------------------------------------------------------------
 # Provenance probes
@@ -445,7 +443,7 @@ def default_ledger_path() -> str | None:
     any other value is used as the path; unset falls back to
     ``results/runs.jsonl``.
     """
-    value = os.environ.get(LEDGER_ENV)
+    value = os.environ.get("REPRO_LEDGER")
     if value is None:
         return DEFAULT_LEDGER
     if value.strip().lower() in ("", "0", "off", "none", "false"):

@@ -14,9 +14,13 @@ makes a fitted model reusable and servable:
   shutdown.
 - :mod:`repro.serve.http` -- the request core (handler and server
   base) that the server and the router share.
-- :mod:`repro.serve.router` / :mod:`repro.serve.worker` -- the
-  scale-out layer: N worker subprocesses sharded by ``(city, isp)``
-  behind one front router (``repro serve --workers N``).
+- :mod:`repro.serve.worker` -- ``run(registry_root, ServeConfig)``,
+  the body of every serving process, and the sharded worker entry
+  point.
+- :mod:`repro.serve.router` -- the scale-out layer: N worker
+  subprocesses sharded by ``(city, isp)`` behind one front router
+  (``repro serve --workers N``); each worker gets the deployment's
+  whole :class:`~repro.serve.server.ServeConfig`.
 
 See docs/SERVING.md for the full tour.
 """

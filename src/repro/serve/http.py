@@ -38,21 +38,32 @@ _TRACE_ID_RE = re.compile(r"^[0-9a-f]{16}$")
 class JsonHTTPServer(ThreadingHTTPServer):
     """Threading HTTP server bound to one serving role's service.
 
-    ``app`` provides ``config`` (``request_timeout_s``,
-    ``max_body_bytes``), the per-request instrument writes
-    ``record_request()``, ``record_error()`` and ``observe_http(endpoint,
-    status, elapsed_s)``, and ``close()``.  ``daemon_threads`` stays
-    False and ``block_on_close`` True so ``server_close`` joins
-    in-flight handler threads before closing the app -- shutdown drains
-    accepted requests instead of abandoning them.
+    ``request_timeout_s`` is each connection's socket timeout and
+    ``max_body_bytes`` the request-body limit (above it: 413).  ``app``
+    provides the per-request instrument writes ``record_request()``,
+    ``record_error()`` and ``observe_http(endpoint, status,
+    elapsed_s)``, and ``close()``.  ``daemon_threads`` stays False and
+    ``block_on_close`` True so ``server_close`` joins in-flight handler
+    threads before closing the app -- shutdown drains accepted requests
+    instead of abandoning them.
     """
 
     daemon_threads = False
     block_on_close = True
     allow_reuse_address = True
 
-    def __init__(self, address: tuple[str, int], app: Any, handler: type):
+    def __init__(
+        self,
+        address: tuple[str, int],
+        app: Any,
+        handler: type,
+        *,
+        request_timeout_s: float,
+        max_body_bytes: int,
+    ):
         self.app = app
+        self.request_timeout_s = request_timeout_s
+        self.max_body_bytes = max_body_bytes
         super().__init__(address, handler)
 
     def server_close(self) -> None:
@@ -107,7 +118,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         super().setup()
         # Per-connection socket timeout: a stalled client cannot pin a
         # handler thread (and block graceful shutdown) forever.
-        self.connection.settimeout(self.server.app.config.request_timeout_s)
+        self.connection.settimeout(self.server.request_timeout_s)
 
     def log_message(self, format: str, *args: Any) -> None:
         log.debug("http " + format % args)
@@ -167,14 +178,14 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         """The request's JSON-object body and its raw bytes.
 
         An absent body is a 400 when ``required``, else ``(None, b"")``;
-        a body over ``config.max_body_bytes`` is a 413.
+        a body over the server's ``max_body_bytes`` is a 413.
         """
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
             if required:
                 raise RequestError(400, "missing request body")
             return None, b""
-        limit = self.server.app.config.max_body_bytes
+        limit = self.server.max_body_bytes
         if length > limit:
             raise RequestError(
                 413,

@@ -20,8 +20,14 @@ contract as the single-process server:
   an empty body) so a model registered elsewhere hot-swaps every
   worker serving it.
 
-Drift is the shard owner's: each worker judges, and under ``repro serve
---refit`` refits, the models it serves; the router holds no drift state.
+The router reads its address, ``default_city``, ``max_body_bytes`` and
+``metrics_window_s`` from the deployment's
+:class:`~repro.serve.server.ServeConfig`; each worker gets that whole
+config, re-pointed at its shard, so every ``repro serve`` setting
+(alerting, tracing, quantized lookups, refits) reaches every worker.
+Drift is the shard owner's: each worker judges, alerts on, and under
+``repro serve --refit`` refits, the models it serves; the router holds
+no drift state.
 
 A worker that dies (crash, OOM kill) is restarted on the next request
 that needs its shard — ``serve.router.worker_restarts`` counts these —
@@ -44,7 +50,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -54,7 +60,6 @@ from repro.obs.metrics import (
     parse_prometheus_text,
     render_prometheus,
 )
-from repro.obs.runs import LEDGER_ENV
 from repro.obs.trace import new_trace_id
 from repro.serve.http import JsonHTTPServer, JsonRequestHandler, RequestError
 from repro.serve.registry import (
@@ -63,17 +68,20 @@ from repro.serve.registry import (
     ModelRegistry,
     shard_for,
 )
+from repro.serve.server import ServeConfig
 
 log = get_logger("serve.router")
 
 __all__ = [
-    "RouterConfig",
     "RouterServer",
     "WorkerHandle",
     "build_router",
 ]
 
 _SERVING_RE = re.compile(r"serving on http://([^\s:]+):(\d+)")
+# Per forwarded request and per client connection's socket.
+_REQUEST_TIMEOUT_S = 30.0
+_BIND_TIMEOUT_S = 60.0  # worker start -> "serving on" line
 
 
 def _escape_label(value: str) -> str:
@@ -87,42 +95,22 @@ def _slug_city_isp(slug: str) -> tuple[str, str]:
     return key.city, key.isp
 
 
-@dataclass(frozen=True)
-class RouterConfig:
-    """Knobs of the router process."""
-
-    host: str = "127.0.0.1"
-    port: int = 8000
-    n_workers: int = 2
-    default_city: str = ""
-    request_timeout_s: float = 30.0  # per forwarded request
-    start_timeout_s: float = 60.0  # worker bind deadline
-    max_body_bytes: int = 8 * 1024 * 1024
-    metrics_window_s: float = 60.0
-    worker_quantized: bool = False  # workers serve via lookup tables
-    worker_trace_sample: float = 1.0
-    # repro serve --refit, passed on to every worker (interval 0: off;
-    # ledger None: no run ledger).
-    refit_interval_s: float = 0.0
-    refit_jobs: int = 1
-    refit_ledger: str | None = None
-
-
 class WorkerHandle:
     """One supervised worker subprocess and its base URL.
 
-    ``start`` spawns ``python -m repro.serve.worker`` with this
-    handle's shard assignment, parses the ``serving on ...`` line for
-    the ephemeral port, and keeps draining the child's stdout on a
-    daemon thread.  ``restart`` is start-over-again: used by the router
-    when a forward finds the process dead.
+    ``start`` spawns :meth:`argv` -- ``python -m repro.serve.worker``
+    with this handle's shard of the deployment config -- parses the
+    ``serving on ...`` line for the ephemeral port, and keeps draining
+    the child's stdout on a daemon thread.  ``restart`` is
+    start-over-again: used by the router when a forward finds the
+    process dead.
     """
 
     def __init__(
         self,
         shard: int,
         registry_root: str | Path,
-        config: RouterConfig,
+        config: ServeConfig,
     ) -> None:
         self.shard = int(shard)
         self.registry_root = str(registry_root)
@@ -142,44 +130,39 @@ class WorkerHandle:
         with self._lock:
             return self.proc.pid if self.proc is not None else None
 
+    def argv(self) -> list[str]:
+        """The worker command line: the whole config, on this shard."""
+        config = replace(
+            self.config,
+            host="127.0.0.1",
+            port=0,
+            workers=1,
+            shard=(self.shard, self.config.workers),
+            mmap_models=True,
+        )
+        return [
+            sys.executable,
+            "-m",
+            "repro.serve.worker",
+            "--registry",
+            self.registry_root,
+            "--config",
+            config.to_json(),
+        ]
+
     def start(self) -> None:
         """Spawn the worker and wait for it to bind (idempotent)."""
         with self._lock:
             if self.proc is not None and self.proc.poll() is None:
                 return
-            argv = [
-                sys.executable,
-                "-m",
-                "repro.serve.worker",
-                "--registry",
-                self.registry_root,
-                "--host",
-                "127.0.0.1",
-                "--port",
-                "0",
-                "--shard",
-                str(self.shard),
-                "--shards",
-                str(self.config.n_workers),
-                "--trace-sample",
-                str(self.config.worker_trace_sample),
-            ]
-            if self.config.default_city:
-                argv += ["--default-city", self.config.default_city]
-            if self.config.worker_quantized:
-                argv.append("--quantized")
             env = dict(os.environ)
-            if self.config.refit_interval_s > 0:
-                argv += ["--refit-interval", str(self.config.refit_interval_s)]
-                argv += ["--jobs", str(self.config.refit_jobs)]
-                env[LEDGER_ENV] = self.config.refit_ledger or "0"
             src_root = str(Path(__file__).resolve().parents[2])
             existing = env.get("PYTHONPATH", "")
             env["PYTHONPATH"] = (
                 f"{src_root}{os.pathsep}{existing}" if existing else src_root
             )
             self.proc = subprocess.Popen(
-                argv,
+                self.argv(),
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
                 env=env,
@@ -222,14 +205,14 @@ class WorkerHandle:
     # ------------------------------------------------------------------
     def _await_bind(self, proc: subprocess.Popen) -> str:
         """Read stdout until the worker names its port; then drain it."""
-        deadline = time.monotonic() + self.config.start_timeout_s
+        deadline = time.monotonic() + _BIND_TIMEOUT_S
         assert proc.stdout is not None
         while True:
             if time.monotonic() > deadline:
                 proc.kill()
                 raise RuntimeError(
                     f"worker shard {self.shard} did not bind within "
-                    f"{self.config.start_timeout_s:.0f}s"
+                    f"{_BIND_TIMEOUT_S:.0f}s"
                 )
             line = proc.stdout.readline()
             if not line:
@@ -257,7 +240,7 @@ class _RouterService:
     def __init__(
         self,
         registry: ModelRegistry,
-        config: RouterConfig,
+        config: ServeConfig,
         workers: list[WorkerHandle],
     ) -> None:
         self.registry = registry
@@ -276,9 +259,7 @@ class _RouterService:
         fresh process; 4xx/5xx worker responses relay as-is (they carry
         the worker's structured error JSON and the shared trace id).
         """
-        shard = shard_for(
-            record.key.city, record.key.isp, self.config.n_workers
-        )
+        shard = shard_for(record.key.city, record.key.isp, len(self.workers))
         handle = self.workers[shard]
         for attempt in (0, 1):
             try:
@@ -317,7 +298,7 @@ class _RouterService:
         )
         try:
             with urllib.request.urlopen(
-                request, timeout=self.config.request_timeout_s
+                request, timeout=_REQUEST_TIMEOUT_S
             ) as response:
                 return response.status, response.read()
         except urllib.error.HTTPError as exc:
@@ -338,7 +319,7 @@ class _RouterService:
         if slugs:
             shards = sorted(
                 {
-                    shard_for(*_slug_city_isp(slug), self.config.n_workers)
+                    shard_for(*_slug_city_isp(slug), len(self.workers))
                     for slug in slugs
                 }
             )
@@ -375,7 +356,7 @@ class _RouterService:
     def scrape_worker(self, handle: WorkerHandle, path: str) -> bytes:
         request = urllib.request.Request(f"{handle.base_url}{path}")
         with urllib.request.urlopen(
-            request, timeout=self.config.request_timeout_s
+            request, timeout=_REQUEST_TIMEOUT_S
         ) as response:
             return response.read()
 
@@ -560,22 +541,27 @@ class RouterServer(JsonHTTPServer):
 
     def __init__(self, address: tuple[str, int], router: _RouterService):
         self.router = router
-        super().__init__(address, router, _RouterHandler)
+        super().__init__(
+            address,
+            router,
+            _RouterHandler,
+            request_timeout_s=_REQUEST_TIMEOUT_S,
+            max_body_bytes=router.config.max_body_bytes,
+        )
 
 
 def build_router(
-    registry_root: str | Path, config: RouterConfig | None = None
+    registry_root: str | Path, config: ServeConfig
 ) -> RouterServer:
-    """A ready-to-run router with its workers started.
+    """A ready-to-run router with its ``config.workers`` workers started.
 
     ``port=0`` binds an ephemeral port.  Raises ``RuntimeError`` when a
-    worker fails to bind within ``config.start_timeout_s``.
+    worker fails to bind within 60 s.
     """
-    config = config or RouterConfig()
     registry = ModelRegistry(registry_root)
     workers = [
         WorkerHandle(shard, registry_root, config)
-        for shard in range(config.n_workers)
+        for shard in range(config.workers)
     ]
     router = _RouterService(registry, config, workers)
     server = RouterServer((config.host, config.port), router)

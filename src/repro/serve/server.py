@@ -55,12 +55,13 @@ terminated server never drops an accepted request.
 from __future__ import annotations
 
 import contextlib
+import json
 import queue
 import signal
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -104,7 +105,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Knobs of the assignment service."""
+    """Every setting of one ``repro serve`` deployment.
+
+    With ``workers > 1`` the router process reads its address,
+    ``default_city``, ``max_body_bytes`` and ``metrics_window_s`` from
+    it, and each worker gets the whole config as ``--config`` JSON,
+    re-pointed at its own shard (:mod:`repro.serve.worker`).
+    """
 
     host: str = "127.0.0.1"
     port: int = 8000
@@ -125,6 +132,26 @@ class ServeConfig:
     shard: tuple[int, int] | None = None  # (index, total) (city, isp) shard
     mmap_models: bool = False  # load via the shared mmap sidecar
     quantized: bool = False  # serve via verified lookup tables
+    workers: int = 1  # > 1: a router in front of this many workers
+    refit_interval_s: float = 0.0  # refit scheduler period; <= 0 disables
+    refit_jobs: int = 1  # parallel fit jobs per refit
+    refit_ledger: str | None = None  # run ledger refits append to
+
+    def to_json(self) -> str:
+        """This config as one JSON object (the worker's ``--config``)."""
+        return json.dumps(asdict(self))
+
+    @classmethod
+    def from_json(cls, text: str) -> "ServeConfig":
+        """Inverse of :meth:`to_json`.
+
+        Raises ``ValueError`` on malformed JSON and ``TypeError`` on
+        anything but an object of known fields.
+        """
+        fields = json.loads(text)
+        if isinstance(fields, dict) and fields.get("shard") is not None:
+            fields["shard"] = tuple(fields["shard"])
+        return cls(**fields)
 
 
 @dataclass
@@ -584,7 +611,13 @@ class ServeServer(JsonHTTPServer):
 
     def __init__(self, address: tuple[str, int], service: AssignmentService):
         self.service = service
-        super().__init__(address, service, _Handler)
+        super().__init__(
+            address,
+            service,
+            _Handler,
+            request_timeout_s=service.config.request_timeout_s,
+            max_body_bytes=service.config.max_body_bytes,
+        )
 
 
 def build_server(

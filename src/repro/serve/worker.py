@@ -1,37 +1,68 @@
-"""One sharded assignment worker process.
+"""The body of every serving process, and the sharded worker entry point.
 
-``python -m repro.serve.worker`` runs a single-process
-:class:`~repro.serve.server.ServeServer` that owns one shard of the
-``(city, isp)`` model space (``--shard I --shards N``; see
-:func:`repro.serve.registry.shard_for`).  The router
-(:mod:`repro.serve.router`) spawns N of these behind one front
-endpoint and parses the ``serving on http://host:port`` line each
-worker prints once its ephemeral port is bound.
+:func:`run` serves one :class:`~repro.serve.server.ServeConfig` until
+SIGTERM: it installs the process metrics registry, builds the router
+(``config.workers > 1``) or the server, attaches a refit scheduler to a
+server when ``config.refit_interval_s > 0``, prints ``serving on
+http://host:port`` and serves.  ``repro serve`` calls it after any
+startup fit; so does each worker.
 
-Workers always load models through the registry's mmap'd ``.arrays``
-sidecar, so N processes serving the same model share one page-cache
-copy of the big per-row arrays instead of each parsing the JSON
-object.  ``--quantized`` serves through the registered
-byte-identity-proven lookup tables where available.
+``python -m repro.serve.worker --registry DIR --config JSON`` is one
+worker of a router (:mod:`repro.serve.router`), which spawns N of these
+and parses the ``serving on`` line each prints once its ephemeral port
+is bound.  ``--config`` is the deployment's whole config
+(:meth:`ServeConfig.to_json`), re-pointed by the router at this
+worker's shard: ``port=0``, ``workers=1``, ``shard=(i, N)`` and
+``mmap_models=True``, so N processes serving the same model share one
+page-cache copy of its big per-row arrays.  Every other setting --
+alert interval, rules and log, trace sampling, quantized lookups,
+refits -- is the operator's.
 
 A worker is a complete server: it keeps its own micro-batchers, drift
-windows and refit samples, and installs one process metrics registry
-before it builds the server, so the engine, model-registry, batcher and
-refit counters all render on its ``/metrics``.  It shuts down
-gracefully on SIGTERM (the router stops workers exactly that way).
-``--refit-interval`` (passed on by ``repro serve --refit``) runs a
-refit scheduler on the worker's own service: the shard owner refits.
+windows, refit samples and alert evaluator (each appends its own
+``start`` row to a shared alert log), and its engine, model-registry,
+batcher, alert and refit counters all render on its ``/metrics``.  The
+shard owner refits.  It shuts down gracefully on SIGTERM (the router
+stops workers exactly that way).
 """
 
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 
 from repro.obs.metrics import active_or_new, use_registry
 from repro.serve.registry import ModelRegistry
+from repro.serve.router import build_router
 from repro.serve.server import ServeConfig, build_server, serve_until_shutdown
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
+
+
+def run(registry_root: str | Path, config: ServeConfig) -> int:
+    """Serve ``config`` over the registry at ``registry_root`` until
+    SIGTERM/SIGINT; returns the exit code."""
+    # One registry per serving process: the server, its engine and an
+    # attached refit scheduler all write into the one /metrics renders.
+    with use_registry(active_or_new()):
+        scheduler = None
+        if config.workers > 1:
+            server = build_router(registry_root, config)
+        else:
+            server = build_server(ModelRegistry(registry_root), config)
+            if config.refit_interval_s > 0:
+                from repro.stream.attach import attach_refit
+
+                scheduler = attach_refit(server.service)
+        host, port = server.server_address[:2]
+        # The router's supervisor, the smoke tests and tooling parse this
+        # exact line for the bound port.
+        print(f"serving on http://{host}:{port}", flush=True)
+        try:
+            return serve_until_shutdown(server)
+        finally:
+            if scheduler is not None:
+                scheduler.stop()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -40,70 +71,19 @@ def main(argv: list[str] | None = None) -> int:
         description="one sharded tier-assignment worker process",
     )
     parser.add_argument("--registry", required=True, help="model store root")
-    parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
-        "--port", type=int, default=0, help="0 binds an ephemeral port"
+        "--config", required=True, metavar="JSON",
+        help="the worker's ServeConfig as one JSON object",
     )
-    parser.add_argument(
-        "--shard", type=int, default=0, help="this worker's shard index"
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1, help="total worker count"
-    )
-    parser.add_argument("--default-city", default="")
-    parser.add_argument("--trace-sample", type=float, default=1.0)
-    parser.add_argument(
-        "--alert-interval",
-        type=float,
-        default=0.0,
-        help="alert loop period in seconds; 0 disables (router default)",
-    )
-    parser.add_argument(
-        "--alert-log", default=None, help="JSONL alert transition log"
-    )
-    parser.add_argument(
-        "--quantized",
-        action="store_true",
-        help="serve via registered byte-identity-proven lookup tables",
-    )
-    parser.add_argument(
-        "--refit-interval", type=float, default=0.0,
-        help="refit scheduler poll period in seconds; 0 disables",
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="refit fit jobs")
     args = parser.parse_args(argv)
-    if not 0 <= args.shard < args.shards:
-        parser.error(
-            f"--shard {args.shard} outside 0..{args.shards - 1}"
-        )
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        default_city=args.default_city,
-        trace_sample_rate=args.trace_sample,
-        alert_interval_s=args.alert_interval,
-        alert_log=args.alert_log,
-        shard=(args.shard, args.shards),
-        mmap_models=True,
-        quantized=args.quantized,
-    )
-    with use_registry(active_or_new()):
-        server = build_server(ModelRegistry(args.registry), config)
-        scheduler = None
-        if args.refit_interval > 0:
-            from repro.stream.attach import attach_refit
-
-            scheduler = attach_refit(
-                server.service, interval_s=args.refit_interval, jobs=args.jobs
-            )
-        host, port = server.server_address[:2]
-        # The router's supervisor parses this exact line for the bound port.
-        print(f"serving on http://{host}:{port}", flush=True)
-        try:
-            return serve_until_shutdown(server)
-        finally:
-            if scheduler is not None:
-                scheduler.stop()
+    try:
+        config = ServeConfig.from_json(args.config)
+    except (TypeError, ValueError) as exc:
+        parser.error(f"--config: {exc}")
+    index, total = config.shard or (0, 1)
+    if not 0 <= index < total:
+        parser.error(f"shard {index} outside 0..{total - 1}")
+    return run(args.registry, config)
 
 
 if __name__ == "__main__":

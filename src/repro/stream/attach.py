@@ -18,26 +18,28 @@ __all__ = ["attach_refit"]
 log = get_logger("repro.stream.attach")
 
 
-def attach_refit(
-    service: AssignmentService,
-    interval_s: float = 5.0,
-    jobs: int = 1,
-    ledger_path: str | None = "auto",
-) -> RefitScheduler:
+def attach_refit(service: AssignmentService) -> RefitScheduler:
     """Start a :class:`RefitScheduler` polling ``service``.
 
-    The scheduler runs on the service's clock.  Its ``stream.*``
-    instruments reach the service's ``/metrics`` when the service was
-    built on the installed process registry, as ``repro serve`` builds
-    it.  The caller owns ``scheduler.stop()`` at shutdown.
+    The poll period, fit jobs and run ledger are the service config's
+    ``refit_interval_s``, ``refit_jobs`` and ``refit_ledger`` (None: no
+    ledger).  The scheduler runs on the service's clock.  Its
+    ``stream.*`` instruments reach the service's ``/metrics`` when the
+    service was built on the installed process registry, as ``repro
+    serve`` builds it.  The caller owns ``scheduler.stop()`` at
+    shutdown.
     """
+    config = service.config
     scheduler = RefitScheduler(
         registry=service.registry,
         monitor=service,
         clock=service.clock,
-        jobs=jobs,
-        ledger_path=ledger_path,
+        jobs=config.refit_jobs,
+        ledger_path=config.refit_ledger,
     )
-    scheduler.start(interval_s=interval_s)
-    log.info("refit scheduler attached", extra=kv(interval_s=interval_s))
+    scheduler.start(interval_s=config.refit_interval_s)
+    log.info(
+        "refit scheduler attached",
+        extra=kv(interval_s=config.refit_interval_s),
+    )
     return scheduler

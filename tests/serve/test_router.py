@@ -28,7 +28,6 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.engine import TierAssigner
 from repro.serve.registry import ModelRegistry, shard_for
 from repro.serve.router import (
-    RouterConfig,
     WorkerHandle,
     _RouterService,
     build_router,
@@ -60,7 +59,7 @@ def fleet(tmp_path_factory):
         models[city] = (result, downs, ups)
     server = build_router(
         root,
-        RouterConfig(port=0, n_workers=N_WORKERS, default_city="A"),
+        ServeConfig(port=0, workers=N_WORKERS, default_city="A"),
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -139,7 +138,7 @@ def test_engine_counters_reach_the_router_metrics(fleet):
     _, server, models = fleet
     fresh = build_router(
         server.router.registry.root,
-        RouterConfig(port=0, n_workers=N_WORKERS, default_city="A"),
+        ServeConfig(port=0, workers=N_WORKERS, default_city="A"),
     )
     thread = threading.Thread(target=fresh.serve_forever, daemon=True)
     thread.start()
@@ -162,7 +161,7 @@ def test_router_samples_join_the_worker_merge(tmp_path):
     """The router's process registry may hold a family its workers also
     report (a startup fit's rows under the run ledger); the merged
     exposition names it once, summed."""
-    config = RouterConfig(n_workers=2)
+    config = ServeConfig(workers=2)
     with use_registry(MetricsRegistry()) as installed:
         router = _RouterService(
             ModelRegistry(tmp_path),

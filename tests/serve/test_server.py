@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.obs.runs import RunLedger
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.engine import TierAssigner
 from repro.serve.registry import ModelRegistry
@@ -224,6 +225,71 @@ def test_cli_serve_sigterm_drains_cleanly(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+
+
+def _drive_cli_serve(tmp_path, *flags: str, n_assign: int) -> None:
+    """Run `repro serve` on City-A: ``n_assign`` one-row /assign calls,
+    wait for an alert evaluation, then SIGTERM (exit 0)."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--city", "A",
+            "--registry", str(tmp_path / "models"),
+            "--port", "0",
+            "--n", "2000",
+            "--alert-interval", "0.05",
+            *flags,
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=env,
+        cwd=str(tmp_path),
+    )
+    try:
+        url = None
+        for line in proc.stdout:
+            match = re.search(r"serving on (http://\S+)", line)
+            if match:
+                url = match.group(1)
+                break
+        assert url, "server never printed its address"
+        client = ServeClient(url)
+        for _ in range(n_assign):
+            client.assign([110.0], [5.5])
+        deadline = time.monotonic() + 30
+        while client.healthz()["alerts"]["evaluations"] == 0:
+            assert time.monotonic() < deadline, "no alert evaluation"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+
+def test_cli_serve_ledger_retains_no_request_spans(tmp_path):
+    """Under the run ledger `repro serve` records its startup fit's spans
+    but none per request or alert pass; --trace-out still gets them."""
+    ledger = tmp_path / "runs.jsonl"
+    for _ in ("cold start: fits", "warm start: no fit"):
+        _drive_cli_serve(tmp_path, "--ledger", str(ledger), n_assign=20)
+    cold, warm = RunLedger(str(ledger)).matching(name="serve")
+    assert "contextualize" in cold.span_table
+    assert "serve.request" not in cold.span_table
+    assert "alerts.evaluate" not in cold.span_table
+    assert warm.span_table == {}
+
+    trace = tmp_path / "trace.jsonl"
+    _drive_cli_serve(
+        tmp_path, "--no-ledger", "--trace-out", str(trace), n_assign=20
+    )
+    names = [json.loads(row)["name"] for row in trace.read_text().splitlines()]
+    assert names.count("serve.assign") == 20
+    assert names.count("serve.request") >= 20
+    assert "alerts.evaluate" in names
 
 
 def test_incoming_trace_id_is_honored(served):

@@ -26,7 +26,7 @@ from repro.obs.runs import RunLedger
 from repro.serve.client import ServeClient
 from repro.serve.engine import TierAssigner
 from repro.serve.registry import ModelRegistry
-from repro.serve.router import RouterConfig, build_router
+from repro.serve.router import build_router
 from repro.serve.server import AssignmentService, ServeConfig, ServeServer
 from repro.stream.attach import attach_refit
 from repro.stream.firehose import MeasurementStream
@@ -232,7 +232,10 @@ def test_attached_scheduler_metrics_reach_the_service(tmp_path):
     with use_registry(MetricsRegistry(clock=lambda: now[0])) as installed:
         service = AssignmentService(
             registry,
-            ServeConfig(default_city="A", alert_interval_s=0.0),
+            ServeConfig(
+                default_city="A", alert_interval_s=0.0,
+                refit_interval_s=0.02, refit_ledger=None,
+            ),
             clock=lambda: now[0],
         )
         assert service.metrics is installed
@@ -244,7 +247,7 @@ def test_attached_scheduler_metrics_reach_the_service(tmp_path):
                 }
             )
         assert service.verdicts()[0]["drifted"]
-        scheduler = attach_refit(service, interval_s=0.02, ledger_path=None)
+        scheduler = attach_refit(service)
         try:
             assert scheduler.clock is service.clock
             deadline = time.monotonic() + 60
@@ -272,8 +275,8 @@ def test_router_workers_refit_their_own_shards(tmp_path):
     ledger = RunLedger(str(tmp_path / "runs.jsonl"))
     server = build_router(
         root,
-        RouterConfig(
-            port=0, n_workers=2, default_city="A",
+        ServeConfig(
+            port=0, workers=2, default_city="A",
             refit_interval_s=0.2, refit_ledger=str(ledger.path),
         ),
     )
