@@ -4,7 +4,7 @@ Asserts the streaming contracts from docs/STREAMING.md:
 
 - the firehose plus the windowed monitor sustain at least **10,000
   events/sec** in a single process (micro-batch generation, Welford
-  window updates, reservoir pushes, and periodic verdict evaluation
+  window updates, refit-sample pushes, and periodic verdict evaluation
   all included);
 - a drifted stream triggers exactly one debounced refit, and the
   drift-to-swap latency on the deterministic ``SimClock`` stays inside

@@ -24,7 +24,7 @@ registry, and the finished spans plus the metrics state are shipped back
 with the task result and merged into the parent sinks -- worker spans
 re-parent under the fan-out's ``parallel.map`` span (stamped with
 ``worker=<pid>`` and ``task=<index>``), counters add, histograms merge
-including their quantile reservoirs.  A ``--trace-out``/``--metrics``
+including their quantile reservoir samples.  A ``--trace-out``/``--metrics``
 run therefore sees the same stages with ``--jobs N`` as with the serial
 path.  When neither sink is installed the tasks are submitted bare, so
 an uninstrumented parallel run pays no capture overhead.

@@ -454,7 +454,7 @@ class MetricsRegistry:
             return out
 
     def dump(self) -> dict[str, dict]:
-        """Full mergeable state (including histogram reservoirs).
+        """Full mergeable state (including each histogram's reservoir sample).
 
         Unlike :meth:`snapshot` (a human/JSON view), a dump can be fed
         to :meth:`merge_dump` on another registry without losing the
@@ -479,7 +479,7 @@ class MetricsRegistry:
 
         Counters add, gauges take the incoming value (last write wins,
         in merge order), histograms merge their summary state and
-        reservoirs deterministically.
+        reservoir samples deterministically.
         """
         for name, value in dump.get("counters", {}).items():
             self.counter(name).inc(float(value))

@@ -2,16 +2,16 @@
 
 Every trailing-window view in the package is a :class:`TickRing`: the
 windowed counters and histograms (:mod:`repro.obs.metrics`), the stream
-monitor's moments and reservoir (:mod:`repro.stream.monitor`), and each
-served model's drift window (:mod:`repro.serve.server`).  A
+monitor's moments (:mod:`repro.stream.monitor`), and each served
+model's drift window (:mod:`repro.serve.server`).  A
 :class:`PairRing` keeps the latest raw ``(download, upload)`` pairs,
 the sample a drift-triggered refit trains on.  Moments are
 Welford ``(n, mean, M2)`` triples merged with Chan's combine, which
 stays exact where ``sumsq / n - mean**2`` cancels.  One
-:func:`drift_verdict` serves ``/healthz``, the ``model_drift`` alert
-and the refit scheduler; :class:`DriftFlags` turns polled verdicts
-into counted rising edges.  The rings do not lock: each owner mutates
-them under its own lock.
+:func:`drift_verdict`, at the one :data:`DRIFT_REL_THRESHOLD`, serves
+``/healthz``, the ``model_drift`` alert and the refit scheduler;
+:class:`DriftFlags` turns polled verdicts into counted rising edges.
+The rings do not lock: each owner mutates them under its own lock.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "EMPTY",
     "DIRECTIONS",
+    "DRIFT_REL_THRESHOLD",
     "DriftFlags",
     "Moments",
     "PairRing",
@@ -42,6 +43,10 @@ EMPTY: Moments = (0.0, 0.0, 0.0)
 
 #: The measured quantities a drift verdict judges.
 DIRECTIONS = ("download_mbps", "upload_mbps")
+
+#: A direction drifts when ``|observed - training| / |training|`` of its
+#: windowed mean exceeds this.
+DRIFT_REL_THRESHOLD = 0.5
 
 #: Slots per :class:`WindowedMoments` window: the granularity of
 #: expiry, not of the statistics.
@@ -92,11 +97,6 @@ class TickRing:
         """Fold ``value`` into the slot for time ``t`` (default ``+``)."""
         i = self.index(t)
         self.values[i] = merge(self.values[i], value)
-
-    def latest(self) -> Any:
-        """The value of the most recently ticked slot."""
-        ticks = self.ticks
-        return self.values[ticks.index(max(ticks))]
 
     def live(self, t: float, window_s: float) -> list[Any]:
         """Values of the slots inside the trailing window ending at ``t``.
@@ -203,7 +203,6 @@ def drift_verdict(
     moments: Mapping[str, WindowedMoments],
     t: float,
     training_stats: Mapping[str, Any],
-    rel_threshold: float,
     min_samples: int,
 ) -> tuple[bool, dict[str, dict[str, Any]]]:
     """Judge each direction's window ending at ``t`` against training.
@@ -211,7 +210,8 @@ def drift_verdict(
     A direction whose training mean is missing or zero is skipped; one
     with fewer than ``min_samples`` windowed observations is
     ``warming_up``; otherwise it is ``drifted`` when
-    ``|observed - training| / |training|`` exceeds ``rel_threshold``.
+    ``|observed - training| / |training|`` exceeds
+    :data:`DRIFT_REL_THRESHOLD`.
     Returns ``(any direction drifted, per-direction rows)``.
     """
     drifted = False
@@ -228,7 +228,7 @@ def drift_verdict(
             }
             continue
         rel = abs(mean - train["mean"]) / abs(train["mean"])
-        direction_drifted = rel > rel_threshold
+        direction_drifted = rel > DRIFT_REL_THRESHOLD
         drifted = drifted or direction_drifted
         directions[direction] = {
             "status": "drifted" if direction_drifted else "ok",

@@ -37,8 +37,9 @@ tuples also feed each loaded model's
 ``metrics_window_s``; the drift check compares those windowed
 download/upload means against the ``training_stats`` recorded at
 registration (:func:`~repro.obs.window.drift_verdict`) and flags models
-whose recent traffic has moved more than ``drift_rel_threshold``
-(relative) once the window holds ``drift_min_samples`` observations.
+whose recent traffic has moved more than
+:data:`~repro.obs.window.DRIFT_REL_THRESHOLD` (relative) once the
+window holds ``drift_min_samples`` observations.
 Each loaded model also keeps a :class:`~repro.obs.window.PairRing` of
 its latest rows, the refit sample, so the service itself is the drift
 source of ``repro serve --refit`` (docs/STREAMING.md).  An
@@ -102,6 +103,10 @@ __all__ = [
     "serve_until_shutdown",
 ]
 
+# Per client connection's socket, so a stalled client cannot pin a
+# handler thread (the router's own is 30 s).
+_REQUEST_TIMEOUT_S = 10.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -116,14 +121,10 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8000
     default_city: str = ""  # model picked when a request names none
-    request_timeout_s: float = 10.0  # per-connection socket timeout
     max_body_bytes: int = 8 * 1024 * 1024  # request bodies above -> 413
-    drift_rel_threshold: float = 0.5  # |obs - train| / train mean
     # Drift is judged only once a window holds this many rows; a model
     # serving fewer per metrics_window_s stays warming_up.
     drift_min_samples: int = 200
-    micro_batch: int = 256
-    micro_max_pending: int = 4096
     trace_sample_rate: float = 1.0  # fraction of requests spanned
     metrics_window_s: float = 60.0  # GET /metrics and drift window
     alert_interval_s: float = 1.0  # evaluator period; <= 0 disables
@@ -278,11 +279,7 @@ class AssignmentService:
         """The model's micro-batcher (created on first streaming use)."""
         with loaded.lock:
             if loaded.batcher is None:
-                loaded.batcher = MicroBatcher(
-                    loaded.assigner,
-                    max_batch=self.config.micro_batch,
-                    max_pending=self.config.micro_max_pending,
-                )
+                loaded.batcher = MicroBatcher(loaded.assigner)
             return loaded.batcher
 
     # -- assignment ------------------------------------------------------
@@ -385,7 +382,6 @@ class AssignmentService:
                     model.moments,
                     now,
                     model.record.training_stats,
-                    self.config.drift_rel_threshold,
                     self.config.drift_min_samples,
                 )
             if self._drift_flags.rose(model.key.slug, drifted):
@@ -615,7 +611,7 @@ class ServeServer(JsonHTTPServer):
             address,
             service,
             _Handler,
-            request_timeout_s=service.config.request_timeout_s,
+            request_timeout_s=_REQUEST_TIMEOUT_S,
             max_body_bytes=service.config.max_body_bytes,
         )
 
@@ -635,10 +631,11 @@ def serve_until_shutdown(server: ServeServer) -> int:
 
     Signal handlers hand ``shutdown()`` to a helper thread (calling it
     from the loop's own thread deadlocks), then ``server_close`` joins
-    in-flight handlers and stops the micro-batchers.
+    in-flight handlers and stops the micro-batchers.  They are installed
+    before the ``serving on http://host:port`` line is printed, so a
+    supervisor that signals as soon as it reads the line still gets a
+    graceful stop.
     """
-    host, port = server.server_address[:2]
-    log.info("serving", extra=kv(host=host, port=port))
 
     def _stop(signum, frame) -> None:
         log.info("shutdown requested", extra=kv(signal=signum))
@@ -647,6 +644,11 @@ def serve_until_shutdown(server: ServeServer) -> int:
     previous = {}
     for sig in (signal.SIGTERM, signal.SIGINT):
         previous[sig] = signal.signal(sig, _stop)
+    host, port = server.server_address[:2]
+    log.info("serving", extra=kv(host=host, port=port))
+    # The router's supervisor, the smoke tests and tooling parse this
+    # exact line for the bound port.
+    print(f"serving on http://{host}:{port}", flush=True)
     try:
         server.serve_forever(poll_interval=0.1)
     finally:

@@ -3,9 +3,11 @@
 :func:`run` serves one :class:`~repro.serve.server.ServeConfig` until
 SIGTERM: it installs the process metrics registry, builds the router
 (``config.workers > 1``) or the server, attaches a refit scheduler to a
-server when ``config.refit_interval_s > 0``, prints ``serving on
-http://host:port`` and serves.  ``repro serve`` calls it after any
-startup fit; so does each worker.
+server when ``config.refit_interval_s > 0``, and serves
+(:func:`~repro.serve.server.serve_until_shutdown`: SIGTERM/SIGINT
+handlers first, then the ``serving on http://host:port`` line, then the
+accept loop).  ``repro serve`` calls it after any startup fit; so does
+each worker.
 
 ``python -m repro.serve.worker --registry DIR --config JSON`` is one
 worker of a router (:mod:`repro.serve.router`), which spawns N of these
@@ -54,10 +56,6 @@ def run(registry_root: str | Path, config: ServeConfig) -> int:
                 from repro.stream.attach import attach_refit
 
                 scheduler = attach_refit(server.service)
-        host, port = server.server_address[:2]
-        # The router's supervisor, the smoke tests and tooling parse this
-        # exact line for the bound port.
-        print(f"serving on http://{host}:{port}", flush=True)
         try:
             return serve_until_shutdown(server)
         finally:

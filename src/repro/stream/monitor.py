@@ -7,10 +7,6 @@ micro-batches and maintains, per ``(city, isp)`` group:
   ring of stream-time buckets holding Welford ``(n, mean, M2)`` triples,
   merged with Chan's parallel update, so the sliding-window mean/std
   costs O(buckets) to read and O(1) per batch to write;
-- **windowed quantiles** -- the existing deterministic reservoir sketch
-  (:class:`repro.obs.quality.FieldMonitor`) in a one-slot
-  :class:`~repro.obs.window.TickRing`, so it restarts every window and
-  the p50/p95 reflect recent traffic rather than the whole stream;
 - **a refit sample** -- a :class:`~repro.obs.window.PairRing` of the
   most recent raw ``(download, upload)`` pairs, which is exactly the
   data a drift-triggered refit trains on (:mod:`repro.stream.scheduler`);
@@ -23,29 +19,25 @@ used only for the ``stream.lag_s`` gauge (how far monitoring trails the
 stream).  Drift verdicts compare the windowed mean against the serving
 registry's ``training_stats`` through the same
 :func:`repro.obs.window.drift_verdict` as
-``AssignmentService.verdicts()``, so the rows are shaped exactly alike
-(plus ``observed_p50``/``observed_p95``), and the same
-``model_drift`` alert rule (:func:`repro.obs.alerts.default_serve_rules`)
-and :class:`~repro.stream.scheduler.RefitScheduler` consume either
-source.
+``AssignmentService.verdicts()``, so the rows have exactly the same
+keys, and the same ``model_drift`` alert rule
+(:func:`repro.obs.alerts.default_serve_rules`) and
+:class:`~repro.stream.scheduler.RefitScheduler` consume either source.
 """
 
 from __future__ import annotations
 
 import threading
-from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger, kv
-from repro.obs.quality import FieldMonitor
 from repro.obs.window import (
     DIRECTIONS,
     DriftFlags,
     PairRing,
-    TickRing,
     WindowedMoments,
     drift_verdict,
 )
@@ -63,9 +55,7 @@ class GroupStats:
         "city",
         "isp",
         "moments",
-        "reservoirs",
         "sample",
-        "n_events",
         "last_t_s",
         "tier_n",
         "tier_upper",
@@ -78,15 +68,7 @@ class GroupStats:
         self.city = city
         self.isp = isp
         self.moments = {d: WindowedMoments(window_s) for d in DIRECTIONS}
-        # One slot per window period: the reservoir restarts each window.
-        self.reservoirs = {
-            d: TickRing(
-                1, window_s, partial(FieldMonitor, f"stream.{city}|{isp}.{d}")
-            )
-            for d in DIRECTIONS
-        }
         self.sample = PairRing(cap)  # the refit sample
-        self.n_events = 0
         self.last_t_s = float("-inf")
         # Long-run vs windowed tier mix (upper-half-tier share).
         self.tier_n = 0
@@ -110,9 +92,10 @@ class StreamMonitor:
         gauge.  ``None`` disables lag tracking (pure simulation).
     window_s:
         Sliding-window span, in *stream* seconds.
-    drift_rel_threshold / min_samples:
-        The :func:`~repro.obs.window.drift_verdict` rule (mirrors
-        ``ServeConfig.drift_rel_threshold`` / ``drift_min_samples``).
+    min_samples:
+        Windowed observations a direction needs before
+        :func:`~repro.obs.window.drift_verdict` judges it (mirrors
+        ``ServeConfig.drift_min_samples``).
     tier_shift_threshold:
         Absolute change in upper-half-tier share (windowed vs long-run)
         that flags a subscriber-mix disruption.
@@ -129,7 +112,6 @@ class StreamMonitor:
         registry: ModelRegistry | None = None,
         clock: Callable[[], float] | None = None,
         window_s: float = 60.0,
-        drift_rel_threshold: float = 0.5,
         min_samples: int = 200,
         tier_shift_threshold: float = 0.2,
         congestion_drop_frac: float = 0.4,
@@ -142,7 +124,6 @@ class StreamMonitor:
         self.registry = registry
         self.clock = clock
         self.window_s = float(window_s)
-        self.drift_rel_threshold = float(drift_rel_threshold)
         self.min_samples = int(min_samples)
         self.tier_shift_threshold = float(tier_shift_threshold)
         self.congestion_drop_frac = float(congestion_drop_frac)
@@ -152,8 +133,6 @@ class StreamMonitor:
         self._baselines: dict[tuple[str, str], tuple[str, dict] | None] = {}
         self._drift_flags = DriftFlags()
         self._disruption_flags = DriftFlags()
-        self.n_events = 0
-        self.n_batches = 0
 
     # -- ingestion -------------------------------------------------------
     def observe(self, batch: StreamBatch) -> None:
@@ -190,18 +169,14 @@ class StreamMonitor:
                 group = self._groups[(city, isp)] = GroupStats(
                     city, isp, self.window_s, self.sample_cap
                 )
-            group.n_events += int(downloads.size)
             group.last_t_s = max(group.last_t_s, float(t_s))
             for direction, values in zip(DIRECTIONS, (downloads, uploads)):
                 group.moments[direction].observe(t_s, values)
-                group.reservoirs[direction].slot(t_s).observe_array(values)
             group.sample.push(downloads, uploads)
             if tiers is not None and len(tiers):
                 self._observe_tiers(group, t_s, np.asarray(tiers))
             if hours is not None and len(hours):
                 self._observe_bins(group, downloads, np.asarray(hours))
-            self.n_events += int(downloads.size)
-            self.n_batches += 1
         obs_metrics.counter("stream.events").inc(downloads.size)
         obs_metrics.counter("stream.batches").inc()
         if self.clock is not None:
@@ -275,17 +250,8 @@ class StreamMonitor:
                 continue
             slug, training_stats = baseline
             drifted, directions = drift_verdict(
-                group.moments,
-                group.last_t_s,
-                training_stats,
-                self.drift_rel_threshold,
-                self.min_samples,
+                group.moments, group.last_t_s, training_stats, self.min_samples
             )
-            for direction, row in directions.items():
-                if row["status"] != "warming_up":
-                    snap = group.reservoirs[direction].latest().snapshot()
-                    row["observed_p50"] = snap.p50
-                    row["observed_p95"] = snap.p95
             if self._drift_flags.rose(slug, drifted):
                 obs_metrics.counter("stream.drift_flags").inc()
                 log.warning(
@@ -383,7 +349,3 @@ class StreamMonitor:
             if group is None:
                 return np.empty(0), np.empty(0)
             return group.sample.pairs()
-
-    def group_names(self) -> list[tuple[str, str]]:
-        with self._lock:
-            return sorted(self._groups)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Union
 
-from repro.core.bst import BSTConfig, BSTModel
+from repro.core.bst import BSTModel
 from repro.obs.alerts import AlertEngine, default_serve_rules
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import active_or_new
@@ -38,20 +38,20 @@ Source = Union[MeasurementStream, StreamMux]
 def warmup_and_register(
     stream: MeasurementStream,
     registry: ModelRegistry,
-    config: BSTConfig | None = None,
     jobs: int = 1,
 ) -> ModelRecord:
     """Fit the stream's base pool and register it as the serving model.
 
     The pool is the pre-drift snapshot, so the registered
     ``training_stats`` are the baseline the stream monitor compares
-    live windows against.
+    live windows against.  The fit uses the default config, the one a
+    refit of the model fits with.
     """
     pool = stream.pool  # forces the simulator to build the base pool
-    result = BSTModel(stream.catalog, config).fit(
+    result = BSTModel(stream.catalog).fit(
         pool["downloads"], pool["uploads"], jobs=jobs
     )
-    key = registry.key_for(stream.city, stream.catalog, config)
+    key = registry.key_for(stream.city, stream.catalog)
     record = registry.register(
         key, result, downloads=pool["downloads"], uploads=pool["uploads"]
     )

@@ -16,13 +16,15 @@ source's retained recent sample:
 3. **max-concurrent** -- at most ``max_concurrent`` refits run per
    poll cycle, so a fleet-wide disruption cannot stampede the fitter.
 
-A refit fits :class:`~repro.core.bst.BSTModel` on the source's recent
-raw sample (``jobs`` fans the per-group download fits out through
+A refit fits :class:`~repro.core.bst.BSTModel` with the default
+:class:`~repro.core.bst.BSTConfig` on the source's recent raw sample
+(``jobs`` fans the per-group download fits out through
 :mod:`repro.core.parallel`), registers the result content-addressed
-under the *same* model key, calls the optional ``reload_cb`` (``POST
-/reload`` on a separate server), rebaselines the source (a serving
-source hot-swaps there; see docs/STREAMING.md), and appends a
-``kind="refit"`` manifest to the run ledger with full provenance
+under the *same* model key (a key whose ``config_hash`` names another
+config fails the refit and registers nothing), calls the optional
+``reload_cb`` (``POST /reload`` on a separate server), rebaselines the
+source (a serving source hot-swaps there; see docs/STREAMING.md), and
+appends a ``kind="refit"`` manifest to the run ledger with full provenance
 (old/new digest, sample size, the triggering verdict, drift-to-swap
 latency).
 
@@ -43,7 +45,12 @@ import numpy as np
 from repro.core.bst import BSTConfig, BSTModel
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger, kv
-from repro.obs.runs import RunLedger, RunRecorder, default_ledger_path
+from repro.obs.runs import (
+    RunLedger,
+    RunRecorder,
+    config_fingerprint,
+    default_ledger_path,
+)
 from repro.obs.trace import span
 from repro.serve.registry import ModelKey, ModelRegistry
 from repro.serve.server import AssignmentService
@@ -52,6 +59,9 @@ from repro.stream.monitor import StreamMonitor
 __all__ = ["RefitPolicy", "RefitScheduler"]
 
 log = get_logger("repro.stream.scheduler")
+
+#: The ``config_hash`` of the one config a refit fits with.
+_REFIT_CONFIG_HASH = config_fingerprint(BSTConfig())
 
 
 @dataclass(frozen=True)
@@ -87,8 +97,6 @@ class RefitScheduler:
     clock:
         Injectable monotonic clock -- **required**; the scheduler keeps
         every timestamp it reasons about on this clock.
-    config:
-        :class:`BSTConfig` used for refits (default config when None).
     reload_cb:
         Called with the list of refit model slugs after registration;
         wire this to ``ServeClient.reload`` so a server fed by a
@@ -108,7 +116,6 @@ class RefitScheduler:
         monitor: StreamMonitor | AssignmentService,
         policy: RefitPolicy | None = None,
         clock: Callable[[], float] | None = None,
-        config: BSTConfig | None = None,
         reload_cb: Callable[[list[str]], Any] | None = None,
         jobs: int = 1,
         ledger_path: str | None = "auto",
@@ -122,7 +129,6 @@ class RefitScheduler:
         self.monitor = monitor
         self.policy = policy or RefitPolicy()
         self.clock = clock
-        self.config = config
         self.reload_cb = reload_cb
         self.jobs = int(jobs)
         self.ledger_path = (
@@ -209,9 +215,14 @@ class RefitScheduler:
         t_start = self.clock()
         try:
             with span("stream.refit", model=slug, n=len(downloads)):
+                if key.config_hash != _REFIT_CONFIG_HASH:
+                    raise ValueError(
+                        "refits fit the default BSTConfig; this key "
+                        "names another config"
+                    )
                 old = self.registry.lookup(key)
                 catalog = self.registry.load(key)[0].catalog
-                result = BSTModel(catalog, self.config).fit(
+                result = BSTModel(catalog).fit(
                     downloads, uploads, jobs=self.jobs
                 )
                 record = self.registry.register(

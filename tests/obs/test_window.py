@@ -39,4 +39,3 @@ class TestTickRing:
         ring.slot(0.5).append("old")
         ring.slot(2.5).append("new")  # same slot, two ticks later
         assert ring.live(2.5, 2.0) == [["new"]]
-        assert ring.latest() == ["new"]

@@ -10,8 +10,16 @@ in-process.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,17 +27,15 @@ from repro.serve import worker
 from repro.serve.router import WorkerHandle, build_router
 from repro.serve.server import ServeConfig
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
 # Every field off its default; the paths set.
 _ALL_SET = ServeConfig(
     host="0.0.0.0",
     port=8123,
     default_city="B",
-    request_timeout_s=3.5,
     max_body_bytes=4096,
-    drift_rel_threshold=0.3,
     drift_min_samples=17,
-    micro_batch=64,
-    micro_max_pending=128,
     trace_sample_rate=0.25,
     metrics_window_s=12.0,
     alert_interval_s=0.2,
@@ -127,3 +133,76 @@ def test_every_worker_runs_the_alert_evaluator(tmp_path):
     assert len(evaluations) == 2
     events = [json.loads(row)["event"] for row in log.read_text().splitlines()]
     assert events.count("start") == 2
+
+
+def test_sigterm_handler_is_installed_before_serving_on(monkeypatch, tmp_path):
+    """A supervisor may SIGTERM as soon as it reads the line, so the
+    graceful handler must already be in place when it is printed."""
+    before = signal.getsignal(signal.SIGTERM)
+    servers = []
+    build = worker.build_server
+    monkeypatch.setattr(
+        worker,
+        "build_server",
+        lambda *args: servers.append(build(*args)) or servers[-1],
+    )
+    at_line = []
+
+    class Probe(io.StringIO):
+        def write(self, text):
+            if "serving on" in text:
+                at_line.append(signal.getsignal(signal.SIGTERM))
+                threading.Thread(target=servers[0].shutdown).start()
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Probe())
+    config = ServeConfig(port=0, alert_interval_s=0.0)
+    assert worker.run(tmp_path / "models", config) == 0
+    (handler,) = at_line
+    assert handler not in (signal.SIG_DFL, before)
+    assert signal.getsignal(signal.SIGTERM) == before
+
+
+def test_sigterm_right_after_serving_on_stops_every_worker(tmp_path):
+    """`repro serve --workers 2` signalled the moment it prints its
+    address exits 0, and no worker outlives it."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--city", "A", "--registry", str(tmp_path / "models"),
+            "--port", "0", "--n", "2000", "--workers", "2",
+            "--alert-log", "off", "--no-ledger",
+            "--log-level", "info", "--log-format", "json",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        cwd=str(tmp_path),
+    )
+    try:
+        for line in proc.stdout:
+            if line.startswith("serving on"):
+                proc.send_signal(signal.SIGTERM)
+                break
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 0, stderr
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+    pids = [
+        json.loads(row)["pid"]
+        for row in stderr.splitlines()
+        if '"worker started"' in row
+    ]
+    assert len(pids) == 2, stderr
+    survivors = []
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            continue
+        survivors.append(pid)
+    assert survivors == []

@@ -124,7 +124,6 @@ class TestVerdicts:
         assert down["status"] == "drifted"
         assert down["rel_deviation"] > 0.5
         assert down["n_observed"] >= 200
-        assert down["observed_p95"] > down["observed_p50"] > 0
 
     def test_group_without_model_reports_nothing(self, registered):
         registry, _ = registered
@@ -158,9 +157,11 @@ class TestVerdicts:
 
 class TestServeParity:
     def test_serve_window_and_stream_agree(self, registered):
-        """One seeded (t, downloads, uploads) sequence, two drift views."""
+        """One seeded (t, downloads, uploads) sequence, two drift views,
+        one row: the same keys and values for the model and every
+        direction."""
         registry, record = registered
-        window_s, min_samples, threshold = 30.0, 150, 0.5
+        window_s, min_samples = 30.0, 150
         now = [0.0]
         service = AssignmentService(
             registry,
@@ -168,7 +169,6 @@ class TestServeParity:
                 default_city="A",
                 metrics_window_s=window_s,
                 drift_min_samples=min_samples,
-                drift_rel_threshold=threshold,
             ),
             clock=lambda: now[0],
         )
@@ -176,7 +176,6 @@ class TestServeParity:
             registry=registry,
             window_s=window_s,
             min_samples=min_samples,
-            drift_rel_threshold=threshold,
         )
         key = record.key
         train = record.training_stats
@@ -201,15 +200,10 @@ class TestServeParity:
                 )
                 (served,) = service.verdicts()
                 (streamed,) = monitor.verdicts()
-                assert served["drifted"] == streamed["drifted"]
-                for direction, row in served["directions"].items():
-                    other = streamed["directions"][direction]
-                    for name in (
-                        "status", "n_observed", "observed_mean",
-                        "rel_deviation",
-                    ):
-                        assert row.get(name) == other.get(name), name
-                    seen.add(row["status"])
+                assert served == streamed
+                seen.update(
+                    row["status"] for row in served["directions"].values()
+                )
         finally:
             service.close()
         assert seen == {"warming_up", "ok", "drifted"}

@@ -8,7 +8,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.bst import BSTConfig
+from repro.obs.metrics import use_registry
 from repro.obs.runs import RunLedger
+from repro.pipeline.contextualize import contextualize
+from repro.serve.registry import ModelRegistry
 from repro.stream.clock import SimClock
 from repro.stream.scheduler import RefitPolicy, RefitScheduler
 
@@ -225,6 +229,36 @@ class TestSideEffects:
         refits = scheduler.poll()
         assert len(refits) == 1  # swap failure is logged, refit survives
         assert monitor.rebaselined == [("A", "ISP-A")]
+
+
+class TestRefitConfig:
+    def test_key_of_another_config_fails_and_registers_nothing(
+        self, tmp_path, ookla_a, catalog_a
+    ):
+        """A refit fits the default config, so it may only replace a
+        model registered under the default config's hash."""
+        registry = ModelRegistry(tmp_path / "models")
+        kmeans = BSTConfig(clustering="kmeans")
+        contextualize(
+            ookla_a, catalog_a, config=kmeans, registry=registry, city="A"
+        )
+        key = registry.key_for("A", catalog_a, kmeans)
+        before = registry.lookup(key)
+        sample = (
+            np.asarray(ookla_a["download_mbps"], dtype=float),
+            np.asarray(ookla_a["upload_mbps"], dtype=float),
+        )
+        monitor = StubMonitor()
+        monitor.recent_sample = lambda city, isp: sample
+        monitor.verdict_list = [_verdict(key.slug)]
+        scheduler = _scheduler(monitor, SimClock(), min_hold_s=0.0)
+        scheduler.registry = registry
+        with use_registry() as metrics:
+            assert scheduler.poll() == []
+        assert metrics.counter("stream.refit_failures").value == 1
+        assert (scheduler.n_refits, scheduler.n_failures) == (0, 1)
+        assert registry.lookup(key).digest == before.digest
+        assert monitor.rebaselined == []
 
 
 class TestDaemon:
