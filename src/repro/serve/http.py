@@ -6,7 +6,9 @@ One implementation of what both serving roles do around a request:
 well-formed incoming ``X-Trace-Id`` is honoured, anything else replaced
 by a fresh id), dispatch over a path -> route table, body limits and
 JSON decoding, the ``{"error": {"code", "message", "trace_id"}}``
-envelope, and the best-effort 500.  The server
+envelope, and the best-effort 500.  A request's latency and status are
+recorded just before its response's last write, and a response sent
+with the request body unread closes the connection.  The server
 (:mod:`repro.serve.server`) and the router (:mod:`repro.serve.router`)
 add their routes; their services decide which instruments a request
 writes.
@@ -26,7 +28,12 @@ from repro.obs.trace import new_trace_id, use_trace_id
 
 log = get_logger("serve.http")
 
-__all__ = ["JsonHTTPServer", "JsonRequestHandler", "RequestError"]
+__all__ = [
+    "JsonHTTPServer",
+    "JsonRequestHandler",
+    "RequestError",
+    "decode_object",
+]
 
 # A well-formed trace id (16 lowercase hex chars, see obs.trace).  The
 # router forwards its per-request id in X-Trace-Id so worker spans and
@@ -88,6 +95,17 @@ class RequestError(Exception):
 Route = Callable[["JsonRequestHandler"], None]
 
 
+def decode_object(body: bytes, what: str = "request") -> dict[str, Any]:
+    """``body`` decoded as a JSON object, else a 400 :class:`RequestError`."""
+    try:
+        payload = json.loads(body)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise RequestError(400, f"invalid JSON body: {exc}") from None
+    if not isinstance(payload, dict):
+        raise RequestError(400, f"{what} body must be a JSON object")
+    return payload
+
+
 def _unknown_path(handler: "JsonRequestHandler") -> None:
     raise RequestError(404, f"unknown path {handler._path!r}")
 
@@ -137,7 +155,15 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self.send_header("X-Trace-Id", self._trace_id)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self._body_unread:
+            # The unread body would be parsed as the next request line;
+            # end the connection instead (send_header sets
+            # close_connection).
+            self.send_header("Connection", "close")
         self.end_headers()
+        # Recorded before the last write: a client that has its answer
+        # and scrapes /metrics sees its own request.
+        self._observe_http()
         self.wfile.write(body)
 
     def _send_json(
@@ -172,19 +198,24 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             headers=headers,
         )
 
-    def _read_json(
-        self, what: str = "request", required: bool = True
-    ) -> tuple[dict[str, Any] | None, bytes]:
-        """The request's JSON-object body and its raw bytes.
+    def _read_body(self, required: bool = True) -> bytes:
+        """The request's raw body.
 
-        An absent body is a 400 when ``required``, else ``(None, b"")``;
-        a body over the server's ``max_body_bytes`` is a 413.
+        An absent body is a 400 when ``required``, else ``b""``; a
+        malformed ``Content-Length`` is a 400 and a body over the
+        server's ``max_body_bytes`` a 413 (neither is read).
         """
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise RequestError(
+                400, f"invalid Content-Length header: {declared!r}"
+            )
+        length = int(declared)
+        if length == 0:
+            self._body_unread = False
             if required:
                 raise RequestError(400, "missing request body")
-            return None, b""
+            return b""
         limit = self.server.max_body_bytes
         if length > limit:
             raise RequestError(
@@ -193,17 +224,19 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                 f"{limit}-byte limit",
             )
         body = self.rfile.read(length)
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise RequestError(400, f"invalid JSON body: {exc}") from None
-        if not isinstance(payload, dict):
-            raise RequestError(400, f"{what} body must be a JSON object")
-        return payload, body
+        self._body_unread = False
+        return body
+
+    def _read_json(
+        self, what: str = "request", required: bool = True
+    ) -> dict[str, Any] | None:
+        """The request's JSON-object body (None: absent, not required)."""
+        body = self._read_body(required)
+        return decode_object(body, what) if body else None
 
     def _reload_slugs(self) -> list[str] | None:
         """The ``/reload`` body's ``slugs`` (None: reload everything)."""
-        payload, _ = self._read_json("reload", required=False)
+        payload = self._read_json("reload", required=False)
         slugs = None if payload is None else payload.get("slugs")
         if slugs is not None and (
             not isinstance(slugs, list)
@@ -228,7 +261,10 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         )
         self._status = 500  # every sent response overwrites it
         self._path = self.path.split("?", 1)[0]
-        start = time.perf_counter()
+        declared = self.headers.get("Content-Length")
+        self._body_unread = declared not in (None, "0")
+        self._observed = False
+        self._start = time.perf_counter()
         try:
             with use_trace_id(self._trace_id), self.request_span():
                 try:
@@ -252,10 +288,17 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             except Exception:
                 pass
         finally:
-            path = self._path
-            known = path in self.get_routes or path in self.post_routes
-            app.observe_http(
-                path[1:] if known else "other",
-                self._status,
-                time.perf_counter() - start,
-            )
+            self._observe_http()  # a request that sent nothing
+
+    def _observe_http(self) -> None:
+        """Write the request's latency and status instruments, once."""
+        if self._observed:
+            return
+        self._observed = True
+        path = self._path
+        known = path in self.get_routes or path in self.post_routes
+        self.server.app.observe_http(
+            path[1:] if known else "other",
+            self._status,
+            time.perf_counter() - self._start,
+        )

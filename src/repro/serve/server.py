@@ -563,13 +563,13 @@ class _Handler(JsonRequestHandler):
 
     def _post_assign(self) -> None:
         service = self.server.service
-        payload, _ = self._read_json()
+        payload = self._read_json()
         try:
             response = service.assign_payload(payload)
         except ValueError as exc:
             raise RequestError(400, str(exc)) from None
         except KeyError as exc:
-            raise RequestError(404, str(exc).strip("'\"")) from None
+            raise RequestError(404, str(exc.args[0])) from None
         except (queue.Full, FutureTimeoutError, BatcherClosedError) as exc:
             # Backpressure (a saturated micro-batch queue or a result
             # that outlived its wait) and shutdown are retryable

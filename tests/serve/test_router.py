@@ -2,15 +2,19 @@
 
 One module-scoped two-worker fleet serves two cities whose ``(city,
 isp)`` hashes land on different shards; tests cover routing
-byte-identity, worker failover, telemetry aggregation, and error
-relay.  Workers are real subprocesses, so this module is the slowest
-in the serving suite.
+byte-identity, worker failover, the pooled worker connections,
+telemetry aggregation, and error relay.  Workers are real subprocesses,
+so this module is the slowest in the serving suite.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -277,7 +281,7 @@ def test_router_honours_incoming_trace_id(fleet):
 
 @pytest.fixture(scope="module")
 def single(fleet):
-    """A single-process server over the fleet's registry."""
+    """(client, server): a single-process server over the fleet's registry."""
     _, router_server, _ = fleet
     server = build_server(
         ModelRegistry(router_server.router.registry.root),
@@ -286,53 +290,101 @@ def single(fleet):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    yield ServeClient(f"http://{host}:{port}")
+    yield ServeClient(f"http://{host}:{port}"), server
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
 
 
-def _json_error(text):
+def _json_error(body):
     try:
-        json.loads(text)
-    except json.JSONDecodeError as exc:
+        json.loads(body)
+    except ValueError as exc:
         return f"invalid JSON body: {exc}"
-    raise AssertionError(f"{text!r} is valid JSON")
+    raise AssertionError(f"{body!r} is valid JSON")
 
 
-_UNKNOWN_CITY = json.dumps({"downloads": [1.0], "uploads": [1.0], "city": "Z"})
+def _not_found(city):
+    return (
+        f"no registered model matches city={city!r} isp=None "
+        "config_hash=None"
+    )
+
+
+def _assign_body(city, downloads="[1.0]"):
+    return (
+        f'{{"downloads": {downloads}, "uploads": [1.0], "city": {city}}}'
+    ).encode()
+
+
+_UNKNOWN_CITY = _assign_body('"Z"')
+_HOLEY = _assign_body('"A"', downloads="[1,,2]")
+_HOLEY_UNKNOWN = _assign_body('"Z"', downloads="[1,,2]")
+_NON_UTF8 = b'{"downloads": [1.0], "uploads": [1.0], "city": "\xff"}'
 ERROR_CASES = [
-    ("POST", "/assign", b"", 400, "missing request body"),
-    ("POST", "/assign", b"{not json", 400, _json_error("{not json")),
-    ("POST", "/assign", b"[1, 2]", 400, "request body must be a JSON object"),
-    ("GET", "/nope", None, 404, "unknown path '/nope'"),
-    ("POST", "/nope", b"{}", 404, "unknown path '/nope'"),
+    ("POST", "/assign", b"", None, 400, "missing request body"),
+    ("POST", "/assign", b"{not json", None, 400, _json_error("{not json")),
     (
-        "POST", "/reload", b'{"slugs": [1, 2]}',
+        "POST", "/assign", b"[1, 2]", None,
+        400, "request body must be a JSON object",
+    ),
+    ("GET", "/nope", None, None, 404, "unknown path '/nope'"),
+    ("POST", "/nope", b"{}", None, 404, "unknown path '/nope'"),
+    (
+        "POST", "/reload", b'{"slugs": [1, 2]}', None,
         400, "'slugs' must be a list of model slugs",
     ),
+    ("POST", "/assign", _UNKNOWN_CITY, None, 404, _not_found("Z")),
     (
-        "POST", "/assign", _UNKNOWN_CITY.encode(),
-        404, "no registered model matches city='Z' isp=None config_hash=None",
+        "POST", "/assign", b"{}", {"Content-Length": "abc"},
+        400, "invalid Content-Length header: 'abc'",
     ),
+    (
+        "POST", "/assign", b"{}", {"Content-Length": "1e3"},
+        400, "invalid Content-Length header: '1e3'",
+    ),
+    # Bodies that probe the router's selector-only decode.
+    ("POST", "/assign", _HOLEY, None, 400, _json_error(_HOLEY)),
+    (
+        "POST", "/assign", _assign_body(r'"A[1]\"x\""'), None,
+        404, _not_found('A[1]"x"'),
+    ),
+    (
+        "POST", "/assign", _assign_body('{"city": "A", "n": [1]}'), None,
+        404, _not_found({"city": "A", "n": [1]}),
+    ),
+    (
+        "POST", "/assign",
+        b'{"city": "A", "downloads": [1.0], "uploads": [1.0], "city": "Z"}',
+        None, 404, _not_found("Z"),
+    ),
+    ("POST", "/assign", _HOLEY_UNKNOWN, None, 400, _json_error(_HOLEY_UNKNOWN)),
+    (
+        "POST", "/assign", _UNKNOWN_CITY.decode().encode("utf-16"), None,
+        404, _not_found("Z"),
+    ),
+    ("POST", "/assign", _NON_UTF8, None, 400, _json_error(_NON_UTF8)),
 ]
 
 
 @pytest.mark.parametrize("target", ["single", "fleet"])
 @pytest.mark.parametrize(
-    "method,path,body,status,message",
+    "method,path,body,headers,status,message",
     ERROR_CASES,
     ids=["empty", "non-json", "non-object", "get-404", "post-404",
-         "bad-slugs", "unknown-city"],
+         "bad-slugs", "unknown-city", "content-length-abc",
+         "content-length-1e3", "holey-array", "bracketed-city",
+         "nested-city", "duplicate-city", "holey-array-unknown-city",
+         "utf-16", "non-utf-8"],
 )
 def test_error_envelope_parity(
-    request, target, method, path, body, status, message
+    request, target, method, path, body, headers, status, message
 ):
     """The single server and the router answer bad input identically."""
-    fixture = request.getfixturevalue(target)
-    client = fixture if target == "single" else fixture[0]
+    client = request.getfixturevalue(target)[0]
     req = urllib.request.Request(
-        client.base_url + path, data=body, method=method
+        client.base_url + path, data=body, headers=headers or {},
+        method=method,
     )
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(req, timeout=60)
@@ -341,3 +393,167 @@ def test_error_envelope_parity(
         status, status, message,
     )
     assert error["trace_id"] == err.value.headers["X-Trace-Id"]
+
+
+@pytest.mark.parametrize("target", ["single", "fleet"])
+@pytest.mark.parametrize("case", ["unknown-path", "too-large"])
+def test_unread_body_does_not_poison_keepalive(
+    request, monkeypatch, target, case
+):
+    """An error answered before the body is read closes the connection;
+    left open, the unread body would be parsed as the next request."""
+    client, server = request.getfixturevalue(target)[:2]
+    if case == "too-large":
+        monkeypatch.setattr(server, "max_body_bytes", 64)
+        path, body, status = "/assign", _UNKNOWN_CITY.ljust(220), 413
+    else:
+        path, body, status = "/nope", b'{"downloads": [1.0]}', 404
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    try:
+        conn.request("POST", path, body=body)
+        response = conn.getresponse()
+        error = json.loads(response.read())["error"]
+        assert (response.status, error["code"]) == (status, status)
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+    finally:
+        conn.close()
+
+
+def _router_counter(router, name):
+    return router.metrics.counter(f"serve.router.{name}").value
+
+
+@pytest.fixture
+def pooled(fleet):
+    """A router service with one in-process worker that records each
+    connection it accepts: (router, handle, accepted, forward)."""
+    _, router_server, models = fleet
+    root = router_server.router.registry.root
+    worker = build_server(
+        ModelRegistry(root),
+        ServeConfig(port=0, default_city="A", alert_interval_s=0),
+    )
+    accepted = []
+
+    class Tracked(worker.RequestHandlerClass):
+        def setup(self):
+            super().setup()
+            accepted.append(self.connection)
+
+    worker.RequestHandlerClass = Tracked
+    thread = threading.Thread(target=worker.serve_forever, daemon=True)
+    thread.start()
+    config = ServeConfig(workers=1)
+    handle = WorkerHandle(0, root, config)
+    handle.address = worker.server_address[:2]
+    with use_registry(MetricsRegistry()):
+        router = _RouterService(ModelRegistry(root), config, [handle])
+    result, downs, ups = models["A"]
+    exact = TierAssigner(result).assign(downs[:20], ups[:20]).tiers.tolist()
+    body = json.dumps(
+        {"downloads": downs[:20].tolist(), "uploads": ups[:20].tolist(),
+         "city": "A"}
+    ).encode()
+    record = router.registry.resolve("A")
+
+    def forward():
+        status, payload = router.forward_assign(body, record, "0" * 16)
+        assert status == 200
+        assert json.loads(payload)["tiers"] == exact
+
+    try:
+        yield router, handle, accepted, forward
+    finally:
+        handle.stop()
+        worker.shutdown()
+        worker.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_idle_connection_closed_by_worker_is_retried_fresh(pooled):
+    """A pooled connection the worker ended while it sat idle (its
+    socket timeout, in production) costs one fresh connection: the
+    answer is right and neither retries nor restarts move."""
+    router, handle, accepted, forward = pooled
+    forward()
+    forward()
+    assert len(accepted) == 1  # the second forward reused the first
+    accepted[0].shutdown(socket.SHUT_RDWR)
+    forward()
+    assert len(accepted) == 2
+    forward()
+    assert len(accepted) == 2
+    assert _router_counter(router, "retries") == 0
+    assert _router_counter(router, "worker_restarts") == 0
+    assert handle.restarts == 0
+
+
+def test_pool_under_concurrent_forwards(pooled):
+    """More threads than cores forward at once with a short switch
+    interval: every answer is right, and each connection the worker
+    accepted ends up pooled exactly once (none lost, none shared)."""
+    router, handle, accepted, forward = pooled
+    errors = []
+
+    def run():
+        try:
+            for _ in range(15):
+                forward()
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    idle = []
+    while True:
+        conn, pooled_conn = handle.checkout()
+        if not pooled_conn:
+            break
+        idle.append(conn)
+    assert len({id(conn) for conn in idle}) == len(idle) == len(accepted)
+    for conn in idle:
+        handle.checkin(conn)
+    assert _router_counter(router, "retries") == 0
+
+
+def test_router_close_after_traffic_is_prompt(fleet):
+    """Closing the router drops its pooled worker connections before
+    it SIGTERMs the workers, so no worker waits out its 10 s socket
+    timeout on a connection the router kept open."""
+    _, server, models = fleet
+    fresh = build_router(
+        server.router.registry.root,
+        ServeConfig(port=0, workers=N_WORKERS, default_city="A"),
+    )
+    thread = threading.Thread(target=fresh.serve_forever, daemon=True)
+    thread.start()
+    host, port = fresh.server_address[:2]
+    client = ServeClient(f"http://{host}:{port}", timeout_s=60.0)
+    try:
+        for city, (_, downs, ups) in models.items():
+            for _ in range(3):
+                client.assign(downs[:5].tolist(), ups[:5].tolist(), city=city)
+        client.healthz()
+        client.metrics_text()
+    finally:
+        fresh.shutdown()
+        started = time.monotonic()
+        fresh.server_close()
+        elapsed = time.monotonic() - started
+        thread.join(timeout=30)
+    assert elapsed < 5.0, elapsed

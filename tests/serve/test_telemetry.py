@@ -133,6 +133,36 @@ class TestMetricsEndpoint:
         # Alert activity is itself a metric.
         assert series["serve_alerts_active"][0][1] == 0.0
 
+    def test_answered_request_is_on_the_next_scrape(
+        self, tmp_path, fitted_a, ookla_a, catalog_a
+    ):
+        """A request's latency and status are recorded before its
+        answer reaches the client: with the handler held right after
+        the send, a scrape already counts it."""
+        client, server, thread = _build(
+            tmp_path, fitted_a, ookla_a, catalog_a
+        )
+        gate = threading.Event()
+
+        class Held(server.RequestHandlerClass):
+            def _send_body(self, *args, **kwargs):
+                super()._send_body(*args, **kwargs)
+                if self._path == "/assign":
+                    gate.wait(timeout=60)
+
+        server.RequestHandlerClass = Held
+        try:
+            client.assign([110.0, 900.0], [5.5, 40.0])
+            series = parse_prometheus_text(client.metrics_text())
+        finally:
+            gate.set()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert series["serve_status_2xx_total"] == [({}, 1.0)]
+        assert "serve_request_latency_s_window" in series
+        assert "serve_latency_assign_window" in series
+
     def test_metrics_content_type_and_trace_header(
         self, served_telemetry
     ):
