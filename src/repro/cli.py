@@ -33,13 +33,17 @@ hash, seed, git SHA, wall time, peak RSS, span digest, metrics and
 quality snapshots) to the JSONL run ledger -- ``results/runs.jsonl`` by
 default, another path via ``--ledger``, off via ``--no-ledger`` or
 ``REPRO_LEDGER=0``.  With the ledger disabled the CLI installs no sinks
-and its output is byte-identical to an unledgered build.
+and its output is byte-identical to an unledgered build.  A long-running
+command (``repro serve``) records its startup only: its live numbers are
+on ``/metrics`` and ``/healthz``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -674,8 +678,7 @@ def _cmd_challenge(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.obs import trace as obs_trace
+def _cmd_serve(args) -> Callable[[], int]:
     from repro.serve.registry import ModelRegistry
     from repro.serve.server import ServeConfig
     from repro.serve.worker import run
@@ -693,12 +696,8 @@ def _cmd_serve(args) -> int:
         contextualize(
             tests, catalog, registry=registry, city=args.city, jobs=args.jobs
         )
-    if not args.trace_out:
-        # The run ledger keeps the startup fit's spans but none per
-        # request: a long-running server would retain them without
-        # bound.  _run_with_obs reinstalls its collector on return.
-        obs_trace.set_collector(None)
-    return run(
+    return partial(
+        run,
         args.registry,
         ServeConfig(
             host=args.host,
@@ -1259,6 +1258,11 @@ def _run_with_obs(args, argv: "list[str] | None" = None) -> int:
     collector, metrics registry, and quality monitor always run so the
     appended manifest carries the span digest, metrics snapshot, and
     quality report -- printed output is still governed by the flags.
+
+    A long-running command returns its serving phase (a callable).  Its
+    manifest records the startup: spans, metrics and quality as they
+    stand when serving begins, which runs with none of the sinks but
+    ``--trace-out``'s collector installed.
     """
     from repro import obs
     from repro.obs import metrics as obs_metrics
@@ -1318,6 +1322,29 @@ def _run_with_obs(args, argv: "list[str] | None" = None) -> int:
     prev_quality = (
         obs_quality.set_quality(quality) if quality is not None else None
     )
+
+    def uninstall(keep_collector: bool = False) -> None:
+        if collector is not None and not keep_collector:
+            obs_trace.set_collector(prev_collector)
+        if registry is not None:
+            obs_metrics.set_registry(prev_registry)
+        if quality is not None:
+            obs_quality.set_quality(prev_quality)
+
+    startup_spans = collector
+
+    def dispatch() -> int:
+        nonlocal startup_spans
+        code = args.func(args)
+        if callable(code):  # a long-running command's serving phase
+            if args.trace_out:  # keeps collecting for the trace file
+                startup_spans = obs.SpanCollector()
+                for sp in collector.spans():
+                    startup_spans.record(sp)
+            uninstall(keep_collector=bool(args.trace_out))
+            code = code()
+        return code
+
     try:
         if recorder is not None:
             recorder.__enter__()
@@ -1326,26 +1353,21 @@ def _run_with_obs(args, argv: "list[str] | None" = None) -> int:
                 from repro.obs.profile import profile_block
 
                 with profile_block() as report:
-                    code = args.func(args)
+                    code = dispatch()
             else:
-                code = args.func(args)
+                code = dispatch()
         finally:
             if recorder is not None:
                 recorder.__exit__(None, None, None)
     finally:
-        if collector is not None:
-            obs_trace.set_collector(prev_collector)
-        if registry is not None:
-            obs_metrics.set_registry(prev_registry)
-        if quality is not None:
-            obs_quality.set_quality(prev_quality)
+        uninstall()
 
     if recorder is not None:
         from repro.obs.runs import RunLedger
 
         manifest = recorder.finish(
             exit_code=code,
-            collector=collector,
+            collector=startup_spans,
             registry=registry,
             quality=quality,
             results=getattr(args, "run_results", None),

@@ -134,10 +134,10 @@ def contextualize(
         downloads = downloads[finite]
         uploads = uploads[finite]
 
+        key = None
         if registry is not None:
-            bst_result = _from_registry(
-                registry, catalog, config, city, downloads, uploads, jobs
-            )
+            key = registry.key_for(city or catalog.isp_name, catalog, config)
+            bst_result = _registered(registry, key)
         if bst_result is not None:
             # Reuse path: predict under the frozen fit, no refit.
             from repro.serve.engine import TierAssigner
@@ -146,9 +146,15 @@ def contextualize(
                 result = TierAssigner(bst_result).to_result(
                     downloads, uploads
                 )
+            if quality.enabled:
+                quality.observe_assignments(result.tiers)
         else:
             model = BSTModel(catalog, config)
             result = model.fit(downloads, uploads, jobs=jobs)
+            if key is not None:  # a registry miss: register the fit
+                registry.register(
+                    key, result, downloads=downloads, uploads=uploads
+                )
 
         with span("contextualize.augment", n=int(len(clean))):
             plan_down = result.plan_download_for_rows()
@@ -186,27 +192,10 @@ def contextualize(
     )
 
 
-def _from_registry(
-    registry,
-    catalog: PlanCatalog,
-    config: BSTConfig | None,
-    city: str | None,
-    downloads: np.ndarray,
-    uploads: np.ndarray,
-    jobs: int | None,
-) -> BSTResult:
-    """Load the registered model for this (city, catalog, config), or
-    fit and register one from the data at hand."""
-    key = registry.key_for(city or catalog.isp_name, catalog, config)
-    if registry.lookup(key) is not None:
-        obs_metrics.counter("contextualize.registry_hits").inc()
-        result, _ = registry.load(key)
-        return result
-    obs_metrics.counter("contextualize.registry_misses").inc()
-    log.info(
-        "no registered model; fitting and registering",
-        extra=kv(key=key.slug, n=int(downloads.size)),
-    )
-    result = BSTModel(catalog, config).fit(downloads, uploads, jobs=jobs)
-    registry.register(key, result, downloads=downloads, uploads=uploads)
-    return result
+def _registered(registry, key) -> BSTResult | None:
+    """The model registered under ``key``, or None (a miss)."""
+    if registry.lookup(key) is None:
+        obs_metrics.counter("contextualize.registry_misses").inc()
+        return None
+    obs_metrics.counter("contextualize.registry_hits").inc()
+    return registry.load(key)[0]

@@ -32,8 +32,8 @@ measurements that arrive later, without refitting.  Two layers:
 
 Upload groups that had no download-stage fit (no training measurement
 landed in them) fall back to the log-nearest advertised download among
-the group's plans; the ``serve.fallback_assigned`` counter tracks how
-often serving leaves the fitted region.
+the group's plans; each batch reports its ``n_fallback`` rows.  The
+engine counts nothing: ``/assign`` counts the rows it answers.
 """
 
 from __future__ import annotations
@@ -50,13 +50,9 @@ import numpy as np
 
 from repro.core.bst import BSTResult
 from repro.obs import metrics as obs_metrics
-from repro.obs.logging import get_logger, kv
-from repro.obs.quality import get_quality
 from repro.obs.trace import current_trace_id, span, use_trace_id
 from repro.stats.gmm import GaussianMixture, GMMFitResult
 from repro.stats.kmeans import KMeans1D, KMeansResult
-
-log = get_logger("serve.engine")
 
 __all__ = [
     "AssignmentBatch",
@@ -235,17 +231,6 @@ class TierAssigner:
                 group_indices, downloads, self._segment_tiers
             )
             sp.set(n_fallback=n_fallback)
-        obs_metrics.counter("serve.assigned").inc(int(downloads.size))
-        if n_fallback:
-            obs_metrics.counter("serve.fallback_assigned").inc(n_fallback)
-            log.debug(
-                "assigned rows in upload groups with no fitted "
-                "download stage",
-                extra=kv(n_fallback=n_fallback, n=int(downloads.size)),
-            )
-        quality = get_quality()
-        if quality.enabled:
-            quality.observe_assignments(tiers)
         return AssignmentBatch(
             tiers=tiers,
             group_indices=group_indices,
@@ -470,12 +455,6 @@ class QuantizedLookup:
         tiers, n_fallback = self.assigner._assign_grouped(
             group_indices, downloads, self._segment_tiers
         )
-        obs_metrics.counter("serve.lookup_assigned").inc(
-            int(downloads.size)
-        )
-        quality = get_quality()
-        if quality.enabled:
-            quality.observe_assignments(tiers)
         return AssignmentBatch(
             tiers=tiers,
             group_indices=group_indices,

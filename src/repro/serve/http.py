@@ -1,7 +1,8 @@
 """HTTP plumbing shared by the assignment server and the front router.
 
 One implementation of what both serving roles do around a request:
-:class:`JsonHTTPServer` drains in-flight handlers on close, and
+:class:`JsonHTTPServer` drains in-flight handlers on close (a connection
+waiting for its next request is closed, not waited out), and
 :class:`JsonRequestHandler` owns the socket timeout, trace-id intake (a
 well-formed incoming ``X-Trace-Id`` is honoured, anything else replaced
 by a fresh id), dispatch over a path -> route table, body limits and
@@ -19,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import re
+import socket
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
@@ -52,7 +54,10 @@ class JsonHTTPServer(ThreadingHTTPServer):
     elapsed_s)``, and ``close()``.  ``daemon_threads`` stays False and
     ``block_on_close`` True so ``server_close`` joins in-flight handler
     threads before closing the app -- shutdown drains accepted requests
-    instead of abandoning them.
+    instead of abandoning them.  First it ends every open connection's
+    keep-alive (:meth:`JsonRequestHandler.end_keepalive`), so a handler
+    parked reading a next request line does not hold the join for a
+    whole socket timeout.
     """
 
     daemon_threads = False
@@ -71,9 +76,14 @@ class JsonHTTPServer(ThreadingHTTPServer):
         self.app = app
         self.request_timeout_s = request_timeout_s
         self.max_body_bytes = max_body_bytes
+        self._handlers: set[JsonRequestHandler] = set()  # open connections
+        self._closing = False
         super().__init__(address, handler)
 
     def server_close(self) -> None:
+        self._closing = True  # a handler set up from now ends itself
+        for handler in self._handlers.copy():
+            handler.end_keepalive()
         super().server_close()  # joins handler threads first
         self.app.close()
 
@@ -137,6 +147,26 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         # Per-connection socket timeout: a stalled client cannot pin a
         # handler thread (and block graceful shutdown) forever.
         self.connection.settimeout(self.server.request_timeout_s)
+        self._observed = True  # no request in flight yet
+        self.server._handlers.add(self)
+        if self.server._closing:
+            self.end_keepalive()
+
+    def finish(self) -> None:
+        self.server._handlers.discard(self)
+        super().finish()
+
+    def end_keepalive(self) -> None:
+        """Serve no request after the current one on this connection.
+
+        A request in flight still reads its body and answers; a wait for
+        the next request line (``_observed`` set: the last request's
+        instruments are written) reads end-of-file at once.
+        """
+        self.close_connection = True
+        if self._observed:
+            with contextlib.suppress(OSError):  # the client may be gone
+                self.connection.shutdown(socket.SHUT_RD)
 
     def log_message(self, format: str, *args: Any) -> None:
         log.debug("http " + format % args)

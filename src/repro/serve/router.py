@@ -530,13 +530,13 @@ class _RouterService:
     def metrics_text(self) -> str:
         """One exposition: the workers' and the router's samples merged.
 
-        The router's registry is its process registry; under the run
-        ledger it also holds the CLI's instruments (a startup fit's
-        ``serve.assigned``), so its samples join the merge instead of
-        repeating a family.  Counter totals, rates, and plain gauges sum
-        across processes; quantile-labelled samples (summary/window
-        percentiles) combine by max — "worst shard" is the operative read for a latency
-        quantile aggregated without raw observations.
+        The router's registry is its process registry, and any family
+        in it may also be one its workers report, so its samples join
+        the merge instead of repeating a family.  Counter totals, rates,
+        and plain gauges sum across processes; quantile-labelled samples
+        (summary/window percentiles) combine by max — "worst shard" is
+        the operative read for a latency quantile aggregated without raw
+        observations.
         """
         expositions = []
         for handle in self.workers:

@@ -30,9 +30,9 @@ per-endpoint / per-status-class latency histograms.  The service writes
 each instrument once, into the registry it took from
 :func:`~repro.obs.metrics.active_or_new` when it was built: the process
 registry when one is installed (``repro serve`` and every worker install
-one first, so the engine, model-registry and micro-batcher counters
-render on ``/metrics`` too), else a private always-on one.  Assigned
-tuples also feed each loaded model's
+one first, so the model-registry and micro-batcher counters render on
+``/metrics`` too), else a private always-on one.  Each answered row
+counts in ``serve.assigned`` and feeds its model's
 :class:`~repro.obs.window.WindowedMoments` over the trailing
 ``metrics_window_s``; the drift check compares those windowed
 download/upload means against the ``training_stats`` recorded at
@@ -309,6 +309,7 @@ class AssignmentService:
             name: payload.get(name) for name in ("city", "isp", "config_hash")
         }
         loaded = self.resolve(**selectors)
+        lookup = None
         if payload.get("stream") and downloads.size == 1:
             try:
                 tier, group = self.batcher_for(loaded).assign_one(
@@ -325,10 +326,11 @@ class AssignmentService:
                 )
             tiers = [tier]
             groups = [group]
-            n_fallback = 0
+            stages = loaded.assigner.result.download_stages
+            n_fallback = int(group not in stages)  # no fitted stage
         else:
-            engine = loaded.lookup or loaded.assigner
-            batch = engine.assign(downloads, uploads)
+            lookup = loaded.lookup
+            batch = (lookup or loaded.assigner).assign(downloads, uploads)
             tiers = batch.tiers.tolist()
             groups = batch.group_indices.tolist()
             n_fallback = batch.n_fallback
@@ -337,6 +339,13 @@ class AssignmentService:
         # out in the queue must not shift the drift window's observed
         # means, fire false model_drift alerts, or enter a refit.
         self._observe(loaded, downloads, uploads)
+        # Counted here, not in the engine: registrations and refits
+        # assign their training rows too, and answer none.
+        self.metrics.counter("serve.assigned").inc(len(tiers))
+        if n_fallback:
+            self.metrics.counter("serve.fallback_assigned").inc(n_fallback)
+        if lookup is not None:
+            self.metrics.counter("serve.lookup_assigned").inc(len(tiers))
         return {
             "tiers": tiers,
             "group_indices": groups,

@@ -1,13 +1,13 @@
 """The body of every serving process, and the sharded worker entry point.
 
 :func:`run` serves one :class:`~repro.serve.server.ServeConfig` until
-SIGTERM: it installs the process metrics registry, builds the router
+SIGTERM: it installs a new process metrics registry, builds the router
 (``config.workers > 1``) or the server, attaches a refit scheduler to a
 server when ``config.refit_interval_s > 0``, and serves
 (:func:`~repro.serve.server.serve_until_shutdown`: SIGTERM/SIGINT
 handlers first, then the ``serving on http://host:port`` line, then the
-accept loop).  ``repro serve`` calls it after any startup fit; so does
-each worker.
+accept loop).  ``repro serve`` calls it after any startup fit, with the
+run ledger's sinks already removed; so does each worker.
 
 ``python -m repro.serve.worker --registry DIR --config JSON`` is one
 worker of a router (:mod:`repro.serve.router`), which spawns N of these
@@ -22,7 +22,7 @@ refits -- is the operator's.
 
 A worker is a complete server: it keeps its own micro-batchers, drift
 windows, refit samples and alert evaluator (each appends its own
-``start`` row to a shared alert log), and its engine, model-registry,
+``start`` row to a shared alert log), and its assignment, model-registry,
 batcher, alert and refit counters all render on its ``/metrics``.  The
 shard owner refits.  It shuts down gracefully on SIGTERM (the router
 stops workers exactly that way).
@@ -33,7 +33,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.obs.metrics import active_or_new, use_registry
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.serve.registry import ModelRegistry
 from repro.serve.router import build_router
 from repro.serve.server import ServeConfig, build_server, serve_until_shutdown
@@ -44,9 +44,9 @@ __all__ = ["main", "run"]
 def run(registry_root: str | Path, config: ServeConfig) -> int:
     """Serve ``config`` over the registry at ``registry_root`` until
     SIGTERM/SIGINT; returns the exit code."""
-    # One registry per serving process: the server, its engine and an
+    # One registry per serving process: the server, its batchers and an
     # attached refit scheduler all write into the one /metrics renders.
-    with use_registry(active_or_new()):
+    with use_registry(MetricsRegistry()):
         scheduler = None
         if config.workers > 1:
             server = build_router(registry_root, config)

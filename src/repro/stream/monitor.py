@@ -48,6 +48,14 @@ __all__ = ["GroupStats", "StreamMonitor"]
 
 log = get_logger("repro.stream.monitor")
 
+# Absolute change in upper-half-tier share (windowed vs long-run) that
+# flags a subscriber-mix disruption.
+TIER_SHIFT_THRESHOLD = 0.2
+# Fractional drop of the windowed download mean below the long-run mean
+# *for the same time-of-day bin* that flags congestion onset.
+CONGESTION_DROP_FRAC = 0.4
+
+
 class GroupStats:
     """All per-(city, isp) monitoring state (owned by StreamMonitor)."""
 
@@ -96,13 +104,6 @@ class StreamMonitor:
         Windowed observations a direction needs before
         :func:`~repro.obs.window.drift_verdict` judges it (mirrors
         ``ServeConfig.drift_min_samples``).
-    tier_shift_threshold:
-        Absolute change in upper-half-tier share (windowed vs long-run)
-        that flags a subscriber-mix disruption.
-    congestion_drop_frac:
-        Fractional drop of the windowed download mean below the
-        long-run mean *for the same time-of-day bin* that flags
-        congestion onset.
     sample_cap:
         Per-group refit-sample ring size.
     """
@@ -113,8 +114,6 @@ class StreamMonitor:
         clock: Callable[[], float] | None = None,
         window_s: float = 60.0,
         min_samples: int = 200,
-        tier_shift_threshold: float = 0.2,
-        congestion_drop_frac: float = 0.4,
         sample_cap: int = 8192,
     ):
         if window_s <= 0:
@@ -125,8 +124,6 @@ class StreamMonitor:
         self.clock = clock
         self.window_s = float(window_s)
         self.min_samples = int(min_samples)
-        self.tier_shift_threshold = float(tier_shift_threshold)
-        self.congestion_drop_frac = float(congestion_drop_frac)
         self.sample_cap = int(sample_cap)
         self._lock = threading.Lock()
         self._groups: dict[tuple[str, str], GroupStats] = {}
@@ -306,7 +303,7 @@ class StreamMonitor:
             return None
         longrun = group.tier_upper / group.tier_n
         delta = win_share - longrun
-        if abs(delta) <= self.tier_shift_threshold:
+        if abs(delta) <= TIER_SHIFT_THRESHOLD:
             return None
         return {
             "city": group.city,
@@ -327,7 +324,7 @@ class StreamMonitor:
         n, mean, _ = group.moments["download_mbps"].snapshot(group.last_t_s)
         if n < self.min_samples:
             return None
-        floor = baseline[1] * (1.0 - self.congestion_drop_frac)
+        floor = baseline[1] * (1.0 - CONGESTION_DROP_FRAC)
         if mean >= floor:
             return None
         return {

@@ -411,3 +411,26 @@ def test_concurrent_processes_keep_every_index_entry(
         f"P{proc}-{i}" for proc in range(n_procs) for i in range(n_each)
     }
     assert cities == expected
+
+
+def test_registration_counts_no_assignment(
+    registry, fitted_a, catalog_a, ookla_a
+):
+    """A registration's lookup proof assigns the training sample three
+    times; it answers nothing, so no assignment count moves."""
+    from repro.obs.metrics import MetricsRegistry, use_registry
+    from repro.obs.quality import use_quality
+
+    with use_registry(MetricsRegistry()) as metrics, use_quality() as quality:
+        record = registry.register(
+            registry.key_for("A", catalog_a),
+            fitted_a,
+            downloads=np.asarray(ookla_a["download_mbps"], dtype=float),
+            uploads=np.asarray(ookla_a["upload_mbps"], dtype=float),
+        )
+    assert record.lookup  # the proof ran
+    counted = {
+        name for name in metrics.snapshot() if name.endswith("assigned")
+    }
+    assert counted == set()
+    assert quality.report().n_assignments == 0

@@ -136,7 +136,7 @@ def test_metrics_aggregate_across_workers(fleet):
 
 
 def test_engine_counters_reach_the_router_metrics(fleet):
-    """Each worker renders its engine counters on its own /metrics, so
+    """Each worker renders its assignment counters on its own /metrics, so
     the router's merged exposition counts every row assigned, across
     both shards.  A fresh fleet on the same store starts from zero."""
     _, server, models = fleet
@@ -163,8 +163,8 @@ def test_engine_counters_reach_the_router_metrics(fleet):
 
 def test_router_samples_join_the_worker_merge(tmp_path):
     """The router's process registry may hold a family its workers also
-    report (a startup fit's rows under the run ledger); the merged
-    exposition names it once, summed."""
+    report (an instrument any code in the router process writes); the
+    merged exposition names it once, summed."""
     config = ServeConfig(workers=2)
     with use_registry(MetricsRegistry()) as installed:
         router = _RouterService(

@@ -23,11 +23,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.runs import RunLedger
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.engine import TierAssigner
 from repro.serve.registry import ModelRegistry
-from repro.serve.server import ServeConfig, build_server
+from repro.serve.server import (
+    AssignmentService,
+    ServeConfig,
+    build_server,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -56,6 +61,70 @@ def served(tmp_path_factory, fitted_a, request):
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_assign_payload_counts_the_rows_it_answers(
+    tmp_path, fitted_a, ookla_a, catalog_a, fresh_sample, quantized
+):
+    """``serve.assigned`` counts every answered row -- batched, looked up
+    or streamed -- and ``serve.fallback_assigned`` the answers'
+    ``n_fallback``; the registration before serving counts nothing."""
+    stages = dict(fitted_a.download_stages)
+    amputated_group, _ = stages.popitem()  # its rows take the fallback
+    amputated = type(fitted_a)(
+        catalog=fitted_a.catalog,
+        upload_stage=fitted_a.upload_stage,
+        download_stages=stages,
+        group_indices=fitted_a.group_indices,
+        tiers=fitted_a.tiers,
+    )
+    downs, ups = fresh_sample
+    groups = TierAssigner(amputated).assign(downs, ups).group_indices
+    in_fallback = np.flatnonzero(groups == amputated_group)[:5]
+    fitted = np.flatnonzero(groups != amputated_group)[:5]
+    registry = ModelRegistry(tmp_path)
+    config = ServeConfig(
+        default_city="A", alert_interval_s=0.0, quantized=quantized
+    )
+    # As in a cold `repro serve`: register, then serve, both under the
+    # process registry.
+    with use_registry(MetricsRegistry()):
+        registry.register(
+            registry.key_for("A", catalog_a),
+            amputated,
+            downloads=np.asarray(ookla_a["download_mbps"], dtype=float),
+            uploads=np.asarray(ookla_a["upload_mbps"], dtype=float),
+        )
+        service = AssignmentService(registry, config)
+    try:
+        answers = [
+            service.assign_payload(
+                {
+                    "downloads": downs[:500].tolist(),
+                    "uploads": ups[:500].tolist(),
+                }
+            )
+        ]
+        for i in [*in_fallback, *fitted]:
+            streamed = {
+                "downloads": [downs[i]],
+                "uploads": [ups[i]],
+                "stream": True,
+            }
+            answers.append(service.assign_payload(streamed))
+    finally:
+        service.close()
+    counts = service.metrics.snapshot()
+
+    def counted(name: str) -> float:
+        return counts.get(name, {}).get("value", 0.0)
+
+    assert counted("serve.assigned") == 510
+    assert counted("serve.lookup_assigned") == (500 if quantized else 0)
+    n_fallback = [answer["n_fallback"] for answer in answers]
+    assert n_fallback[1:] == [1] * 5 + [0] * 5
+    assert counted("serve.fallback_assigned") == sum(n_fallback) > 5
 
 
 def test_assign_endpoint_matches_engine(served, fitted_a, fresh_sample):
@@ -227,9 +296,16 @@ def test_cli_serve_sigterm_drains_cleanly(tmp_path):
             proc.wait(timeout=10)
 
 
+def _alerts_evaluated(health: dict) -> bool:
+    """Whether every serving process has run an alert evaluation (a
+    router's /healthz nests one health row per worker)."""
+    rows = health["workers"] if "router" in health else [health]
+    return all(row["alerts"]["evaluations"] > 0 for row in rows)
+
+
 def _drive_cli_serve(tmp_path, *flags: str, n_assign: int) -> None:
     """Run `repro serve` on City-A: ``n_assign`` one-row /assign calls,
-    wait for an alert evaluation, then SIGTERM (exit 0)."""
+    wait for every process's alert evaluation, then SIGTERM (exit 0)."""
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.Popen(
         [
@@ -259,7 +335,7 @@ def _drive_cli_serve(tmp_path, *flags: str, n_assign: int) -> None:
         for _ in range(n_assign):
             client.assign([110.0], [5.5])
         deadline = time.monotonic() + 30
-        while client.healthz()["alerts"]["evaluations"] == 0:
+        while not _alerts_evaluated(client.healthz()):
             assert time.monotonic() < deadline, "no alert evaluation"
             time.sleep(0.05)
         proc.send_signal(signal.SIGTERM)
@@ -290,6 +366,29 @@ def test_cli_serve_ledger_retains_no_request_spans(tmp_path):
     assert names.count("serve.assign") == 20
     assert names.count("serve.request") >= 20
     assert "alerts.evaluate" in names
+
+
+def test_cli_serve_manifest_records_its_startup(tmp_path):
+    """A `repro serve` manifest records its startup, never its traffic: a
+    cold start counts one assignment per fitted row, and over the same
+    traffic warm starts under --workers 1 and 2 record the same."""
+    ledger = tmp_path / "runs.jsonl"
+    for workers in ("1", "1", "2"):  # cold, then warm twice
+        _drive_cli_serve(
+            tmp_path, "--ledger", str(ledger), "--workers", workers,
+            n_assign=5,
+        )
+    cold, warm_one, warm_two = RunLedger(str(ledger)).matching(name="serve")
+    (record,) = ModelRegistry(tmp_path / "models").records()
+    assert cold.quality.n_assignments == record.train_size
+    assert warm_one.metrics == warm_two.metrics
+    # As JSON: an empty report's entropy is NaN, unequal to itself.
+    assert json.dumps(warm_one.quality.to_dict()) == json.dumps(
+        warm_two.quality.to_dict()
+    )
+    for manifest in (cold, warm_one):
+        assert "serve.requests" not in manifest.metrics
+        assert manifest.exit_code == 0
 
 
 def test_incoming_trace_id_is_honored(served):

@@ -80,7 +80,7 @@ class TestOneRegistry:
         self, tmp_path, fitted_a, ookla_a, catalog_a
     ):
         """A server built under an installed registry writes each request
-        into it exactly once, and /metrics renders the engine counters."""
+        into it exactly once, and /metrics renders the row counters."""
         registry = ModelRegistry(tmp_path / "registry")
         registry.register(
             registry.key_for("A", catalog_a),

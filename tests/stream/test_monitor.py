@@ -221,9 +221,7 @@ class TestRebaseline:
 
 class TestDisruptions:
     def test_tier_shift_detected(self):
-        monitor = StreamMonitor(
-            window_s=10.0, min_samples=100, tier_shift_threshold=0.2
-        )
+        monitor = StreamMonitor(window_s=10.0, min_samples=100)
         mixed = np.tile(np.asarray([1, 2, 3, 4]), 100)
         downs = np.full(mixed.size, 50.0)
         monitor.observe_arrays(
@@ -242,9 +240,7 @@ class TestDisruptions:
         assert shift["delta"] < -0.2
 
     def test_congestion_onset_detected(self):
-        monitor = StreamMonitor(
-            window_s=10.0, min_samples=100, congestion_drop_frac=0.4
-        )
+        monitor = StreamMonitor(window_s=10.0, min_samples=100)
         hours = np.zeros(400, dtype=np.int64)  # all in diurnal bin 0
         monitor.observe_arrays(
             "A", "ISP-A",

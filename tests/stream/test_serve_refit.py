@@ -105,15 +105,16 @@ def _serve_drifted(registry, stream, record, now):
     probe_d = stream.pool["downloads"][:32] * 0.4
     probe_u = stream.pool["uploads"][:32] * 0.4
     post_assign = post_health = None
+    rows_answered = 0
     try:
         for step in range(120):  # 60 s of clock: healthy, then 0.4x
             now[0] += 0.5
             batch = stream.next_batch()
             scale = 1.0 if step < 10 else 0.4
-            client.assign(
+            rows_answered += len(client.assign(
                 (batch.downloads * scale).tolist(),
                 (batch.uploads * scale).tolist(),
-            )
+            )["tiers"])
             if step % 2:
                 # Same clock instant, no traffic in between: /healthz
                 # and the poll must see the same rows.
@@ -123,6 +124,7 @@ def _serve_drifted(registry, stream, record, now):
                 post_assign = client.assign(
                     probe_d.tolist(), probe_u.tolist()
                 )
+                rows_answered += len(post_assign["tiers"])
                 post_health = client.healthz()
     finally:
         server.shutdown()
@@ -138,6 +140,7 @@ def _serve_drifted(registry, stream, record, now):
         "post_assign": post_assign,
         "post_health": post_health,
         "metrics": render_prometheus(service.metrics),
+        "rows_answered": rows_answered,
     }
 
 
@@ -166,6 +169,15 @@ def test_exactly_one_refit(served_lifecycle):
     assert refit["new_digest"] != record.digest
     assert 2.0 <= refit["drift_to_swap_s"] <= 3.0
     assert "stream_refits_total 1" in served_lifecycle["metrics"]
+
+
+def test_refit_counts_no_served_rows(served_lifecycle):
+    """The refit fits and registers on the service's process registry;
+    ``serve_assigned_total`` still counts only the rows /assign answered."""
+    families = parse_prometheus_text(served_lifecycle["metrics"])
+    assert families["serve_assigned_total"] == [
+        ({}, served_lifecycle["rows_answered"])
+    ]
 
 
 def test_new_model_starts_warming_up(served_lifecycle):

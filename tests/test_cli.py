@@ -330,6 +330,30 @@ class TestAssign:
         assert cold_out.read_bytes() == warm_out.read_bytes()
         assert (registry / "index.json").exists()
 
+    def test_assign_records_one_assignment_per_row(
+        self, tmp_path, ookla_csv, capsys
+    ):
+        """Under the run ledger, a fresh fit (cold) and a registered model
+        (warm) each record one assignment per row: the registration's
+        lookup proof counts none."""
+        from repro.obs.runs import RunLedger
+
+        ledger = tmp_path / "runs.jsonl"
+        for _ in ("cold", "warm"):
+            assert main(
+                [
+                    "assign", "--input", str(ookla_csv), "--city", "A",
+                    "--registry", str(tmp_path / "models"),
+                    "--out", str(tmp_path / "out.csv"),
+                    "--ledger", str(ledger),
+                ]
+            ) == 0
+        capsys.readouterr()
+        cold, warm = RunLedger(str(ledger)).matching(name="assign")
+        assert [m.results["registry_hit"] for m in (cold, warm)] == [0, 1]
+        for manifest in (cold, warm):
+            assert manifest.quality.n_assignments == manifest.results["rows"]
+
     def test_assign_output_matches_contextualize(
         self, tmp_path, ookla_csv, capsys
     ):
