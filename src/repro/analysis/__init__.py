@@ -6,10 +6,9 @@ correctness (no mutable default args, no silent broad excepts), and
 observability discipline (span/metric names must match the documented
 inventory), together with a lock-discipline checker for the threaded
 serving and observability subsystems.  See docs/ANALYSIS.md for the
-rule catalog and the baseline workflow.
+rule catalog.
 """
 
-from repro.analysis.baseline import Baseline, finding_fingerprint
 from repro.analysis.framework import (
     AnalysisReport,
     FileContext,
@@ -23,7 +22,6 @@ from repro.analysis.report import render_json, render_text
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
     "FileContext",
     "Finding",
     "Rule",
@@ -31,7 +29,6 @@ __all__ = [
     "catalog",
     "check_source",
     "default_rules",
-    "finding_fingerprint",
     "register",
     "render_json",
     "render_text",

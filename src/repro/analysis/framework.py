@@ -19,8 +19,7 @@ the same line (or the line directly above)::
 
 The justification text is mandatory: a bare ``# lint: allow[DET002]``
 does not suppress anything and instead raises a ``LINT001`` finding, so
-every grandfathered violation documents *why* it is sanctioned.  Larger
-backlogs go in a baseline file instead (:mod:`repro.analysis.baseline`).
+every grandfathered violation documents *why* it is sanctioned.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ class Finding:
     severity: str
     message: str
     hint: str = ""
-    snippet: str = ""  # stripped source line (baseline fingerprinting)
+    snippet: str = ""  # the offending source line, stripped
 
     def format(self) -> str:
         text = (

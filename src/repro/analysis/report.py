@@ -17,10 +17,7 @@ def _group_by_path(findings: Iterable[Finding]) -> dict[str, list[Finding]]:
     return groups
 
 
-def summary_line(
-    report: AnalysisReport,
-    n_baselined: int = 0,
-) -> str:
+def summary_line(report: AnalysisReport) -> str:
     n = len(report.findings)
     parts = [
         f"{n} finding{'s' if n != 1 else ''}",
@@ -29,15 +26,10 @@ def summary_line(
     ]
     if report.suppressed:
         parts.append(f"{len(report.suppressed)} allowed inline")
-    if n_baselined:
-        parts.append(f"{n_baselined} baselined")
     return ", ".join(parts)
 
 
-def render_text(
-    report: AnalysisReport,
-    n_baselined: int = 0,
-) -> str:
+def render_text(report: AnalysisReport) -> str:
     """Human-readable findings, grouped per file, summary last."""
     lines: list[str] = []
     for path, findings in sorted(_group_by_path(report.findings).items()):
@@ -52,17 +44,13 @@ def render_text(
         lines.append("")
     lines.append(
         ("FAIL " if report.findings else "OK ")
-        + summary_line(report, n_baselined)
+        + summary_line(report)
     )
     return "\n".join(lines)
 
 
-def render_json(
-    report: AnalysisReport,
-    n_baselined: int = 0,
-) -> str:
+def render_json(report: AnalysisReport) -> str:
     """One JSON document (the CI artifact format)."""
     payload: dict[str, Any] = report.to_dict()
-    payload["baselined"] = n_baselined
-    payload["summary"] = summary_line(report, n_baselined)
+    payload["summary"] = summary_line(report)
     return json.dumps(payload, indent=2, sort_keys=True)

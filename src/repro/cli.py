@@ -418,15 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all rules)",
     )
     lint.add_argument(
-        "--baseline", default=None, metavar="FILE.json",
-        help="suppression file: known findings pass, new ones fail "
-             "(an absent file is an empty baseline)",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite --baseline with the current findings and exit 0",
-    )
-    lint.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
     )
@@ -855,7 +846,6 @@ def _cmd_lint(args) -> int:
     from pathlib import Path
 
     from repro.analysis import (
-        Baseline,
         analyze,
         catalog,
         render_json,
@@ -907,30 +897,6 @@ def _cmd_lint(args) -> int:
         report = analyze(root, files=files, rules=rules)
         sp.set(files=report.n_files, findings=len(report.findings))
 
-    if args.write_baseline:
-        if not args.baseline:
-            print(
-                "error: --write-baseline needs --baseline FILE.json",
-                file=sys.stderr,
-            )
-            return 2
-        Baseline.from_findings(report.findings).save(args.baseline)
-        print(
-            f"wrote {len(report.findings)} baseline entries "
-            f"to {args.baseline}"
-        )
-        return 0
-
-    n_baselined = 0
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        report.findings, matched = baseline.filter(report.findings)
-        n_baselined = len(matched)
-
     obs_metrics.counter("lint.findings").inc(len(report.findings))
     obs_metrics.counter("lint.rules_run").inc(len(rules))
     args.run_results = {
@@ -939,9 +905,9 @@ def _cmd_lint(args) -> int:
     }
 
     if args.format == "json":
-        print(render_json(report, n_baselined))
+        print(render_json(report))
     else:
-        print(render_text(report, n_baselined))
+        print(render_text(report))
     return 1 if report.findings else 0
 
 

@@ -146,5 +146,4 @@ def run_experiment(
     quality = get_quality()
     if quality.enabled:
         result.quality = quality.report()
-        result.quality.publish_metrics()
     return result

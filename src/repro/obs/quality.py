@@ -17,8 +17,9 @@ watches the data as it flows:
   unmapped-group rate (catalog upload groups no mixture component
   mapped to).
 - :class:`QualityReport` — the finished snapshot: renderable text,
-  JSON-able dict, and a ``publish_metrics`` hook that surfaces the
-  headline rates as ``quality.*`` gauges in the active metrics registry.
+  JSON-able dict, and a ``publish_metrics`` hook that sets the headline
+  rates as ``quality.*`` gauges in a given metrics registry (a run
+  manifest's, see :meth:`repro.obs.runs.RunRecorder.finish`).
 
 Like tracing and metrics, quality monitoring is **off by default**: the
 module-level monitor is a null object whose field monitors are shared
@@ -382,15 +383,10 @@ class QualityReport:
             out["quality.dropped_row_rate"] = self.dropped_row_rate
         return out
 
-    def publish_metrics(self) -> None:
-        """Surface the headline rates as ``quality.*`` gauges.
-
-        A no-op when no metrics registry is installed.
-        """
-        from repro.obs import metrics as obs_metrics
-
+    def publish_metrics(self, registry) -> None:
+        """Set the headline rates as ``quality.*`` gauges in ``registry``."""
         for name, value in self.scalars().items():
-            obs_metrics.gauge(name).set(value)
+            registry.gauge(name).set(value)
 
     def render(self) -> str:
         """Plain-text quality table (the `-- data quality --` section)."""

@@ -461,14 +461,17 @@ class RunRecorder:
 
         rec = RunRecorder(kind="cli", name="contextualize", argv=argv,
                           params=params, seed=seed)
-        with rec:
-            code = run_the_command()
-        manifest = rec.finish(exit_code=code)
+        with use_collector() as collector, use_registry() as registry:
+            with rec:
+                code = run_the_command()
+        manifest = rec.finish(
+            exit_code=code, collector=collector, registry=registry
+        )
         RunLedger(path).append(manifest)
 
-    ``finish`` reads the *currently active* span collector, metrics
-    registry, and quality monitor (pass explicit ones to override), so
-    the caller controls which sinks feed the manifest.
+    ``finish`` reads only the span collector, metrics registry and
+    quality monitor it is passed, so the caller controls which sinks
+    feed the manifest.
     """
 
     def __init__(
@@ -506,21 +509,12 @@ class RunRecorder:
         results: Mapping[str, float] | None = None,
         wall_s: float | None = None,
     ) -> RunManifest:
-        """Build the manifest from the run's sinks and outcome."""
-        from repro.obs import metrics as obs_metrics
-        from repro.obs import trace as obs_trace
-        from repro.obs import quality as obs_quality
+        """Build the manifest from the given sinks and outcome.
 
-        collector = collector if collector is not None else (
-            obs_trace.get_collector()
-        )
-        registry = registry if registry is not None else (
-            obs_metrics.get_registry()
-        )
-        quality = quality if quality is not None else (
-            obs_quality.get_quality()
-        )
-
+        A sink left as None contributes nothing.  The quality report's
+        scalars are published as ``quality.*`` gauges into ``registry``
+        before it is snapshotted, so the manifest's metrics carry them.
+        """
         span_table: dict[str, dict[str, float]] = {}
         span_digest = None
         if getattr(collector, "enabled", False):
@@ -535,8 +529,9 @@ class RunRecorder:
         quality_report = None
         if getattr(quality, "enabled", False):
             quality_report = quality.report()
-            quality_report.publish_metrics()
         if getattr(registry, "enabled", False):
+            if quality_report is not None:
+                quality_report.publish_metrics(registry)
             metrics_snap = registry.snapshot()
 
         if wall_s is None:

@@ -194,8 +194,10 @@ def contextualize(
 
 def _registered(registry, key) -> BSTResult | None:
     """The model registered under ``key``, or None (a miss)."""
-    if registry.lookup(key) is None:
+    try:
+        result, _ = registry.load(key)
+    except KeyError:
         obs_metrics.counter("contextualize.registry_misses").inc()
         return None
     obs_metrics.counter("contextualize.registry_hits").inc()
-    return registry.load(key)[0]
+    return result

@@ -24,10 +24,13 @@ fitted :class:`~repro.core.bst.BSTResult` stored on disk:
   on that sample (see :class:`repro.serve.engine.QuantizedLookup`).
 
 All writes are atomic (temp file + ``os.replace``), so a crashed
-registration never leaves a half-written object or index.  Loads go
-through a bounded in-process LRU cache; ``serve.registry.*`` counters
-report hit/miss/load traffic.  The index is read on every call but
-parsed once per distinct file content, so :meth:`ModelRegistry.resolve`
+registration never leaves a half-written object or index.  The registry
+caches no fit: every load reads its object from disk, and a serving
+process keeps the models it serves in
+:class:`~repro.serve.server.AssignmentService`.  ``serve.registry.*``
+counters report load/miss/registration traffic.  The index is read on
+every call but parsed once per distinct file content, so
+:meth:`ModelRegistry.resolve`
 -- the one "newest registered model matching these selectors" rule the
 server, the router and the stream monitor share -- sees another
 process's registration on its next call without re-parsing an
@@ -48,7 +51,6 @@ import os
 import threading
 import time
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -73,8 +75,6 @@ log = get_logger("serve.registry")
 __all__ = ["ModelKey", "ModelRecord", "ModelRegistry", "shard_for"]
 
 INDEX_SCHEMA = 1
-
-DEFAULT_CACHE_SIZE = 8
 
 # Sidecar format: magic, then an 8-byte little-endian header length,
 # then the JSON header, then raw array bytes at the offsets the header
@@ -139,10 +139,6 @@ class ModelRecord:
         # lint: allow[DET002] age compares against the stored epoch stamp
         now = time.time() if now is None else now
         return max(now - self.created_s, 0.0)
-
-    def is_stale(self, max_age_s: float, now: float | None = None) -> bool:
-        """Whether the model is older than ``max_age_s``."""
-        return self.age_s(now) > max_age_s
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -247,26 +243,19 @@ def _read_shared(path: Path) -> BSTResult:
 
 
 class ModelRegistry:
-    """Directory-backed model store with an in-process LRU cache.
+    """Directory-backed model store; it caches no loaded fit.
 
-    Thread-safe: index read-modify-write and cache mutation run under
-    one lock.  Multiple registries may point at the same root (e.g. a
-    server and a batch CLI, or several workers' refit schedulers): the
-    index read-modify-write also holds a ``flock`` on ``index.lock``,
-    and content addressing keeps identical registrations idempotent.
+    Thread-safe: the index read-modify-write and the index parse memo
+    run under one lock.  Multiple registries may point at the same root
+    (e.g. a server and a batch CLI, or several workers' refit
+    schedulers): the index read-modify-write also holds a ``flock`` on
+    ``index.lock``, and content addressing keeps identical
+    registrations idempotent.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-    ) -> None:
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.cache_size = int(cache_size)
         self._lock = threading.RLock()
-        self._cache: OrderedDict[str, BSTResult] = OrderedDict()
         # (index file bytes, records by slug) of the last parse.
         self._index_memo: tuple[bytes, dict[str, ModelRecord]] = (b"", {})
 
@@ -349,7 +338,6 @@ class ModelRegistry:
                     entries = self._parse_index(self._index_bytes())
                     entries[key.slug] = record.to_dict()
                     self._persist_index(entries)
-                self._cache_put(digest, result)
             sp.set(digest=digest[:16], train_size=record.train_size)
         obs_metrics.counter("serve.registry.registered").inc()
         log.info(
@@ -368,14 +356,13 @@ class ModelRegistry:
             return self._index_records().get(key.slug)
 
     def load(self, key: ModelKey) -> tuple[BSTResult, ModelRecord]:
-        """Load the model registered under ``key`` (LRU-cached).
+        """Load the model registered under ``key`` from disk.
 
+        Returns the fit and its record, read from one index parse.
         Raises ``KeyError`` when the key is unregistered and
         ``ValueError`` when the stored object is corrupt.
         """
-        record, cached = self._record_and_cached(key)
-        if cached is not None:
-            return cached, record
+        record = self._record(key)
         with span("serve.registry.load", key=key.slug):
             obj_path = self.object_path(record.digest)
             try:
@@ -392,13 +379,11 @@ class ModelRegistry:
                     f"corrupt model object {obj_path}: {exc}"
                 ) from exc
             result = bst_result_from_dict(data)
-        with self._lock:
-            self._cache_put(record.digest, result)
         obs_metrics.counter("serve.registry.loads").inc()
         return result, record
 
     def load_shared(self, key: ModelKey) -> tuple[BSTResult, ModelRecord]:
-        """Load via the mmap'd ``.arrays`` sidecar (LRU-cached).
+        """Load via the mmap'd ``.arrays`` sidecar.
 
         The returned result's big per-row arrays (``group_indices``,
         ``tiers``) are read-only zero-copy views into a shared
@@ -408,9 +393,7 @@ class ModelRegistry:
         The sidecar is created on first use when registration predates
         it.  Raises the same errors as :meth:`load`.
         """
-        record, cached = self._record_and_cached(key)
-        if cached is not None:
-            return cached, record
+        record = self._record(key)
         path = self.shared_path(record.digest)
         if not path.exists():
             # Sidecar missing (registered by an older build): build it
@@ -419,25 +402,16 @@ class ModelRegistry:
             self._persist_shared(record.digest, bst_result_to_dict(result))
         with span("serve.registry.load_shared", key=key.slug):
             result = _read_shared(path)
-        with self._lock:
-            self._cache_put(record.digest, result)
         obs_metrics.counter("serve.registry.shared_loads").inc()
         return result, record
 
-    def _record_and_cached(
-        self, key: ModelKey
-    ) -> tuple[ModelRecord, BSTResult | None]:
-        """``key``'s record and its cached fit (None on a cache miss)."""
+    def _record(self, key: ModelKey) -> ModelRecord:
+        """``key``'s record; counts a miss and raises ``KeyError``."""
         record = self.lookup(key)
         if record is None:
             obs_metrics.counter("serve.registry.misses").inc()
             raise KeyError(f"no model registered for {key.slug!r}")
-        with self._lock:
-            cached = self._cache.get(record.digest)
-            if cached is not None:
-                self._cache.move_to_end(record.digest)
-                obs_metrics.counter("serve.registry.hits").inc()
-        return record, cached
+        return record
 
     def shared_path(self, digest: str) -> Path:
         """The mmap sidecar path for a content digest."""
@@ -548,24 +522,7 @@ class ModelRegistry:
             for record in self.records()
         ]
 
-    def evict_cache(self) -> None:
-        """Drop every cached model (records and objects stay on disk)."""
-        with self._lock:
-            self._cache.clear()
-
-    @property
-    def cached_digests(self) -> list[str]:
-        """Digests currently in the LRU cache, oldest first."""
-        with self._lock:
-            return list(self._cache)
-
     # ------------------------------------------------------------------
-    def _cache_put(self, digest: str, result: BSTResult) -> None:
-        self._cache[digest] = result
-        self._cache.move_to_end(digest)
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-
     def _index_bytes(self) -> bytes:
         try:
             return self.index_path.read_bytes()

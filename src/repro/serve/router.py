@@ -446,12 +446,10 @@ class _RouterService:
     ) -> dict[str, Any]:
         """Fan ``POST /reload`` out to the shards that own ``slugs``.
 
-        None (or an empty list) reloads every worker.  The router's own
-        registry cache is evicted too.  Worker outcomes are reported per
-        shard; an unreachable worker is an error row, not a failed
-        fan-out.
+        None (or an empty list) reloads every worker.  Worker outcomes
+        are reported per shard; an unreachable worker is an error row,
+        not a failed fan-out.
         """
-        self.registry.evict_cache()
         if slugs:
             shards = sorted(
                 {

@@ -480,14 +480,13 @@ class AssignmentService:
 
         ``slugs`` limits the swap to those models; None reloads all.
         In-flight requests keep the complete model object they already
-        resolved (old *or* new, never torn); the next resolve reloads
-        from the registry, whose cache is evicted here.  Per-model
+        resolved (old *or* new, never torn); the next resolve loads the
+        model from the registry on disk.  Per-model
         drift state (the new model's empty window and refit sample)
         restarts from ``warming_up`` against the new ``training_stats``,
         so a post-refit ``/healthz`` verdict returns to ok instead of
         comparing fresh traffic with a stale baseline.
         """
-        self.registry.evict_cache()
         with self._lock:
             if slugs is None:
                 victims = list(self._loaded)

@@ -220,9 +220,8 @@ class RefitScheduler:
                         "refits fit the default BSTConfig; this key "
                         "names another config"
                     )
-                old = self.registry.lookup(key)
-                catalog = self.registry.load(key)[0].catalog
-                result = BSTModel(catalog).fit(
+                served, old = self.registry.load(key)
+                result = BSTModel(served.catalog).fit(
                     downloads, uploads, jobs=self.jobs
                 )
                 record = self.registry.register(
@@ -244,7 +243,7 @@ class RefitScheduler:
             "refit shard",
             extra=kv(
                 model=slug,
-                old_digest=(old.digest[:16] if old else ""),
+                old_digest=old.digest[:16],
                 new_digest=record.digest[:16],
                 n_samples=len(downloads),
             ),
@@ -253,7 +252,7 @@ class RefitScheduler:
             "model": slug,
             "city": verdict["city"],
             "isp": verdict["isp"],
-            "old_digest": old.digest if old else None,
+            "old_digest": old.digest,
             "new_digest": record.digest,
             "n_samples": int(len(downloads)),
             "breach_since": verdict["breach_since"],
@@ -287,9 +286,6 @@ class RefitScheduler:
         )
         manifest = recorder.finish(
             exit_code=0,
-            collector=False,
-            registry=False,
-            quality=False,
             results={
                 "drift_to_swap_s": outcome["drift_to_swap_s"],
                 "n_samples": float(outcome["n_samples"]),

@@ -152,11 +152,11 @@ class TestReport:
         assert "tier entropy" in text
 
     def test_publish_metrics_sets_gauges(self):
-        from repro.obs import MetricsRegistry, use_registry
+        from repro.obs import MetricsRegistry
 
         report = self._dirty_report()
-        with use_registry() as registry:
-            report.publish_metrics()
+        registry = MetricsRegistry()
+        report.publish_metrics(registry)
         snap = registry.snapshot()
         gauges = {
             name for name, entry in snap.items()

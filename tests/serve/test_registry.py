@@ -20,7 +20,7 @@ from repro.serve.registry import ModelKey, ModelRecord, ModelRegistry
 
 @pytest.fixture
 def registry(tmp_path):
-    return ModelRegistry(tmp_path / "models", cache_size=2)
+    return ModelRegistry(tmp_path / "models")
 
 
 def test_round_trip(registry, fitted_a, catalog_a):
@@ -84,22 +84,26 @@ def test_staleness_metadata(registry, fitted_a, catalog_a):
     key = registry.key_for("A", catalog_a)
     record = registry.register(key, fitted_a)
     assert record.age_s() < 60.0
-    assert not record.is_stale(max_age_s=3600.0)
-    assert record.is_stale(max_age_s=0.0, now=record.created_s + 1.0)
+    assert record.age_s(now=record.created_s + 5.0) == 5.0
     assert record.created_utc.endswith("Z")
 
 
-def test_lru_cache_bounded_and_hit(registry, fitted_a, catalog_a):
-    keys = [registry.key_for(city, catalog_a) for city in ("A", "B", "C")]
-    # Same result object -> same digest -> one cache slot for all three.
-    for key in keys:
+def test_every_load_reads_disk(registry, fitted_a, catalog_a):
+    """The registry caches no fit: a registration loads nothing, and
+    each load (plain or shared) reads the object again."""
+    from repro.obs.metrics import MetricsRegistry, use_registry
+
+    key = registry.key_for("A", catalog_a)
+    with use_registry(MetricsRegistry()) as metrics:
         registry.register(key, fitted_a)
-    assert len(registry.cached_digests) == 1
-    registry.evict_cache()
-    assert registry.cached_digests == []
-    loaded, _ = registry.load(keys[0])
-    again, _ = registry.load(keys[0])
-    assert again is loaded  # second load served from cache
+        loaded, _ = registry.load(key)
+        again, _ = registry.load(key)
+        shared, _ = registry.load_shared(key)
+    assert again is not loaded
+    assert np.array_equal(again.tiers, loaded.tiers)
+    assert np.array_equal(shared.tiers, loaded.tiers)
+    assert metrics.counter("serve.registry.loads").value == 2
+    assert metrics.counter("serve.registry.shared_loads").value == 1
 
 
 def test_index_survives_new_registry_instance(
@@ -135,7 +139,6 @@ def test_unknown_index_schema_raises(registry):
 def test_missing_object_raises_value_error(registry, fitted_a, catalog_a):
     key = registry.key_for("A", catalog_a)
     record = registry.register(key, fitted_a)
-    registry.evict_cache()
     registry.object_path(record.digest).unlink()
     with pytest.raises(ValueError, match="missing object"):
         registry.load(key)
@@ -144,7 +147,6 @@ def test_missing_object_raises_value_error(registry, fitted_a, catalog_a):
 def test_corrupt_object_raises_value_error(registry, fitted_a, catalog_a):
     key = registry.key_for("A", catalog_a)
     record = registry.register(key, fitted_a)
-    registry.evict_cache()
     registry.object_path(record.digest).write_text("{truncated")
     with pytest.raises(ValueError, match="corrupt model object"):
         registry.load(key)
@@ -186,7 +188,6 @@ def test_register_writes_mmap_sidecar(registry, fitted_a, catalog_a):
 def test_load_shared_equals_load(registry, fitted_a, catalog_a):
     key = registry.key_for("A", catalog_a)
     registry.register(key, fitted_a)
-    registry.evict_cache()
     shared, record = registry.load_shared(key)
     assert np.array_equal(shared.tiers, fitted_a.tiers)
     assert np.array_equal(shared.group_indices, fitted_a.group_indices)
@@ -201,7 +202,6 @@ def test_load_shared_backfills_missing_sidecar(
     key = registry.key_for("A", catalog_a)
     record = registry.register(key, fitted_a)
     registry.shared_path(record.digest).unlink()
-    registry.evict_cache()
     shared, _ = registry.load_shared(key)
     assert np.array_equal(shared.tiers, fitted_a.tiers)
     assert registry.shared_path(record.digest).exists()
@@ -213,7 +213,6 @@ def test_load_shared_rejects_corrupt_sidecar(
     key = registry.key_for("A", catalog_a)
     record = registry.register(key, fitted_a)
     registry.shared_path(record.digest).write_bytes(b"NOTMAGIC" + b"x" * 64)
-    registry.evict_cache()
     with pytest.raises(ValueError, match="magic"):
         registry.load_shared(key)
 

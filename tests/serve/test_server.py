@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.bst import BSTModel
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.runs import RunLedger
 from repro.serve.client import ServeClient, ServeError
@@ -125,6 +126,64 @@ def test_assign_payload_counts_the_rows_it_answers(
     n_fallback = [answer["n_fallback"] for answer in answers]
     assert n_fallback[1:] == [1] * 5 + [0] * 5
     assert counted("serve.fallback_assigned") == sum(n_fallback) > 5
+
+
+@pytest.mark.parametrize("mmap_models", [False, True])
+def test_service_loads_each_model_once_per_reload_generation(
+    tmp_path, fitted_a, ookla_a, catalog_a, fresh_sample, mmap_models
+):
+    """A worker-shaped service -- its own registry over a root that
+    another registry object wrote -- loads each served model from disk
+    once per reload generation, and answers the same every generation."""
+    half = len(fitted_a) // 2
+    fitted_b = BSTModel(catalog_a).fit(
+        np.asarray(ookla_a["download_mbps"], dtype=float)[:half],
+        np.asarray(ookla_a["upload_mbps"], dtype=float)[:half],
+    )
+    writer = ModelRegistry(tmp_path)
+    cities = ("A", "B")
+    for city, fitted in zip(cities, (fitted_a, fitted_b)):
+        writer.register(writer.key_for(city, catalog_a), fitted)
+    downs, ups = fresh_sample
+    payloads = []
+    for city in cities:
+        payloads += [
+            {
+                "city": city,
+                "downloads": downs[lo:lo + 50].tolist(),
+                "uploads": ups[lo:lo + 50].tolist(),
+            }
+            for lo in range(0, 500, 50)
+        ]
+        payloads.append(
+            {
+                "city": city,
+                "downloads": [downs[0]],
+                "uploads": [ups[0]],
+                "stream": True,
+            }
+        )
+    generations = 3
+    with use_registry(MetricsRegistry()) as metrics:
+        service = AssignmentService(
+            ModelRegistry(tmp_path),
+            ServeConfig(alert_interval_s=0.0, mmap_models=mmap_models),
+        )
+        try:
+            answers = []
+            for _ in range(generations):
+                answers.append([service.assign_payload(p) for p in payloads])
+                service.reload()
+        finally:
+            service.close()
+    loads = len(cities) * generations
+    assert metrics.counter("serve.registry.loads").value == (
+        0 if mmap_models else loads
+    )
+    assert metrics.counter("serve.registry.shared_loads").value == (
+        loads if mmap_models else 0
+    )
+    assert answers[1:] == answers[:1] * (generations - 1)
 
 
 def test_assign_endpoint_matches_engine(served, fitted_a, fresh_sample):

@@ -108,7 +108,8 @@ class TestOneRegistry:
                 server.server_close()
                 thread.join(timeout=10)
         assert families["serve_assigned_total"][0][1] == n_requests * rows
-        assert families["serve_registry_hits_total"][0][1] >= 1
+        # One model served: one disk load, kept by the service.
+        assert families["serve_registry_loads_total"][0][1] == 1
 
 
 class TestMetricsEndpoint:

@@ -8,7 +8,7 @@ match exactly on realistic speed-test mixtures.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.trace import use_collector
@@ -199,6 +199,7 @@ cluster_strategy = st.lists(
 
 class TestPropertyFastPath:
     @given(clusters=cluster_strategy, seed=st.integers(0, 2**16))
+    @example(clusters=[(1.0, 5.0, 132), (1.0, 0.1015625, 125)], seed=13)
     @settings(max_examples=30, deadline=None)
     def test_binned_close_to_exact(self, clusters, seed):
         rng = np.random.default_rng(seed)

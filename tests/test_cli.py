@@ -97,6 +97,31 @@ class TestContextualize:
         capsys.readouterr()
         assert serial_out.read_text() == parallel_out.read_text()
 
+    def test_ledger_manifest_carries_quality_gauges(
+        self, tmp_path, ookla_csv, capsys
+    ):
+        """A ledgered run's ``quality.*`` metrics are its quality report's
+        scalars: the gauges land in the registry the manifest snapshots."""
+        from repro.obs.runs import RunLedger
+
+        ledger = tmp_path / "runs.jsonl"
+        assert main(
+            [
+                "contextualize", "--input", str(ookla_csv), "--city", "A",
+                "--out", str(tmp_path / "ctx.csv"), "--ledger", str(ledger),
+            ]
+        ) == 0
+        capsys.readouterr()
+        (manifest,) = RunLedger(str(ledger)).matching(name="contextualize")
+        gauges = {
+            name: entry["value"]
+            for name, entry in manifest.metrics.items()
+            if name.startswith("quality.")
+        }
+        assert manifest.quality.n_assignments == 1500
+        assert gauges == pytest.approx(manifest.quality.scalars())
+        assert gauges
+
     def test_jobs_default_is_serial(self):
         args = build_parser().parse_args(
             ["contextualize", "--input", "x.csv", "--city", "A",
