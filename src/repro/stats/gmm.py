@@ -7,6 +7,15 @@ data point belongs to its respective upload/download speed cluster".  This
 module implements exactly that estimator for 1-D data with per-component
 means, variances and weights, plus BIC-based component-count selection used
 by the ablation benchmarks.
+
+EM runs on a (k, n) layout: one contiguous row per component, held in
+two buffers allocated once per fit and rewritten in place by every E-
+and M-step.  Each sum adds its terms in the order numpy's sums over the
+plain (n, k) formulation add them (see ``_logsumexp`` and
+``_sample_sums``), so fits, predictions and scores equal that
+formulation's bit for bit; tests/stats/test_fit_kernels.py keeps it as
+the reference, and docs/PERFORMANCE.md ("Fit kernels") has the rule and
+the timings.
 """
 
 from __future__ import annotations
@@ -23,6 +32,11 @@ from repro.obs.trace import span
 __all__ = ["GaussianMixture", "GMMFitResult", "select_components_bic"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# numpy (verified on 2.4.6) sums a contiguous run of fewer than 8 float64
+# terms one after another and a longer run pairwise; `_logsumexp` follows
+# that rule over the k components of each sample.
+_PAIRWISE_MIN_COMPONENTS = 8
 
 log = get_logger("stats.gmm")
 
@@ -152,23 +166,29 @@ class GaussianMixture:
         means = means + rng.normal(0.0, 1e-3 * scale, size=k)
         return np.sort(means)
 
-    @staticmethod
-    def _log_gauss(values: np.ndarray, mean: float, var: float) -> np.ndarray:
-        return -0.5 * (_LOG_2PI + math.log(var) + (values - mean) ** 2 / var)
-
     def _log_prob_matrix(
         self,
         values: np.ndarray,
         means: np.ndarray,
         variances: np.ndarray,
         weights: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """``log(weight_k * N(x | mu_k, var_k))`` with shape (n, k)."""
-        parts = [
-            np.log(weights[k]) + self._log_gauss(values, means[k], variances[k])
-            for k in range(means.size)
-        ]
-        return np.stack(parts, axis=1)
+        """``log(weight_j * N(x | mu_j, var_j))`` with shape (k, n).
+
+        Row ``j`` holds component ``j`` over the whole sample, so each
+        step is one broadcast over all components, written into ``out``
+        (a float (k, n) array) when it is given.  Every element is
+        ``log(w_j) + -0.5 * (c_j + (x - mu_j)**2 / var_j)`` with
+        ``c_j = log(2 pi) + log(var_j)`` summed as Python floats.
+        """
+        consts = np.array([_LOG_2PI + math.log(v) for v in variances.tolist()])
+        out = np.subtract(values, means[:, None], out=out)
+        np.square(out, out=out)
+        np.divide(out, variances[:, None], out=out)
+        np.add(out, consts[:, None], out=out)
+        np.multiply(out, -0.5, out=out)
+        return np.add(out, np.log(weights)[:, None], out=out)
 
     def fit(self, values) -> GMMFitResult:
         """Run EM on the sample and return (and store) the fit result."""
@@ -213,27 +233,35 @@ class GaussianMixture:
             self.mean_prior_strength * values.size / self.n_components
         )
 
+        # Two (k, n) buffers serve every iteration: `resp` holds the
+        # log-probabilities and then, in place, the responsibilities;
+        # `work` is scratch for the exponentials and the M-step products.
+        resp = np.empty((self.n_components, values.size))
+        work = np.empty_like(resp)
         prev_ll = -np.inf
         converged = False
         n_iter = 0
         for n_iter in range(1, self.max_iter + 1):
             # E-step: responsibilities via log-sum-exp for stability.
-            log_prob = self._log_prob_matrix(values, means, variances, weights)
-            log_norm = _logsumexp(log_prob, axis=1)
-            resp = np.exp(log_prob - log_norm[:, None])
+            self._log_prob_matrix(values, means, variances, weights, out=resp)
+            log_norm = _logsumexp(resp, work)
+            np.subtract(resp, log_norm, out=resp)
+            np.exp(resp, out=resp)
             ll = float(log_norm.sum())
 
             # M-step (MAP when a mean prior is configured).
-            nk = resp.sum(axis=0) + 1e-12
+            nk = _sample_sums(resp, work) + 1e-12
+            weighted = _sample_sums(np.multiply(resp, values, out=work), work)
             if prior_centers is None:
-                means = (resp * values[:, None]).sum(axis=0) / nk
+                means = weighted / nk
             else:
-                means = (
-                    (resp * values[:, None]).sum(axis=0)
-                    + pseudo_count * prior_centers
-                ) / (nk + pseudo_count)
-            diff2 = (values[:, None] - means[None, :]) ** 2
-            variances = np.maximum((resp * diff2).sum(axis=0) / nk, var_floor)
+                means = (weighted + pseudo_count * prior_centers) / (
+                    nk + pseudo_count
+                )
+            np.subtract(values, means[:, None], out=work)
+            np.square(work, out=work)
+            np.multiply(resp, work, out=work)
+            variances = np.maximum(_sample_sums(work, work) / nk, var_floor)
             weights = nk / values.size
 
             if abs(ll - prev_ll) < self.tol * max(1.0, abs(ll)):
@@ -259,27 +287,32 @@ class GaussianMixture:
             raise RuntimeError("call fit() before predicting")
         return self.result_
 
+    def _fitted_log_prob(self, values) -> np.ndarray:
+        fit = self._require_fit()
+        return self._log_prob_matrix(
+            np.asarray(values, dtype=float),
+            fit.means,
+            fit.variances,
+            fit.weights,
+        )
+
+    def _posterior(self, values) -> np.ndarray:
+        """Responsibilities with shape (k, n), computed in place."""
+        log_prob = self._fitted_log_prob(values)
+        np.subtract(log_prob, _logsumexp(log_prob), out=log_prob)
+        return np.exp(log_prob, out=log_prob)
+
     def responsibilities(self, values) -> np.ndarray:
         """Posterior probability of each component for each value; (n, k)."""
-        fit = self._require_fit()
-        values = np.asarray(values, dtype=float)
-        log_prob = self._log_prob_matrix(
-            values, fit.means, fit.variances, fit.weights
-        )
-        return np.exp(log_prob - _logsumexp(log_prob, axis=1)[:, None])
+        return np.ascontiguousarray(self._posterior(values).T)
 
     def predict(self, values) -> np.ndarray:
         """Most likely component index (into the mean-sorted order)."""
-        return np.argmax(self.responsibilities(values), axis=1)
+        return np.argmax(self._posterior(values), axis=0)
 
     def score_samples(self, values) -> np.ndarray:
         """Per-sample log density under the fitted mixture."""
-        fit = self._require_fit()
-        values = np.asarray(values, dtype=float)
-        log_prob = self._log_prob_matrix(
-            values, fit.means, fit.variances, fit.weights
-        )
-        return _logsumexp(log_prob, axis=1)
+        return _logsumexp(self._fitted_log_prob(values))
 
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
         """Draw ``n`` values from the fitted mixture (for tests)."""
@@ -291,10 +324,42 @@ class GaussianMixture:
         )
 
 
-def _logsumexp(matrix: np.ndarray, axis: int) -> np.ndarray:
-    top = matrix.max(axis=axis, keepdims=True)
-    out = top + np.log(np.exp(matrix - top).sum(axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def _logsumexp(
+    log_prob: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
+    """``log(sum_j exp(log_prob[j]))`` for each column of a (k, n) matrix.
+
+    ``work`` (same shape) receives the exponentials when given.  The k
+    terms of a column are added in numpy's order for a C-contiguous
+    (n, k) ``sum(axis=1)``: one after another below
+    ``_PAIRWISE_MIN_COMPONENTS``, pairwise from there on, so the latter
+    sums an (n, k) copy.
+    """
+    top = log_prob.max(axis=0)
+    work = np.subtract(log_prob, top, out=work)
+    np.exp(work, out=work)
+    if log_prob.shape[0] < _PAIRWISE_MIN_COMPONENTS:
+        total = work.sum(axis=0)
+    else:
+        total = np.ascontiguousarray(work.T).sum(axis=1)
+    np.log(total, out=total)
+    return np.add(top, total, out=total)
+
+
+def _sample_sums(matrix: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Each component's (row's) sum over the sample of a (k, n) matrix.
+
+    Adds in numpy's order for a C-contiguous (n, k) ``sum(axis=0)``:
+    pairwise when k == 1, otherwise one sample after another starting
+    from +0.0.  The running sum of ``np.cumsum`` (into ``work``, which
+    may be ``matrix``) is that order; a row's ``sum`` would be pairwise.
+    Adding 0.0 turns an all-``-0.0`` row's sum into +0.0, as the
+    reduction's zero start does.
+    """
+    if matrix.shape[0] == 1:
+        return matrix.sum(axis=1)
+    np.cumsum(matrix, axis=1, out=work)
+    return work[:, -1] + 0.0
 
 
 def select_components_bic(

@@ -25,6 +25,25 @@ from repro.obs.runs import (
 from repro.obs.trace import span
 
 
+_FAKE_SHA = "0123456789abcdef0123456789abcdef01234567"
+
+
+@pytest.fixture
+def fake_checkout(tmp_path, monkeypatch):
+    """A minimal git checkout (``.git/HEAD`` -> ``refs/heads/main``) as cwd.
+
+    Provenance must not depend on how the tree under test was copied (a
+    clone or a ``git archive`` export), so these tests bring their own.
+    """
+    root = tmp_path / "checkout"
+    (root / ".git" / "refs" / "heads").mkdir(parents=True)
+    (root / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+    (root / ".git" / "refs" / "heads" / "main").write_text(_FAKE_SHA + "\n")
+    monkeypatch.delenv("GIT_DIR", raising=False)
+    monkeypatch.chdir(root)
+    return root
+
+
 def _record_one(name: str = "unit", results=None) -> RunManifest:
     """One manifest built from real (small) sink activity."""
     recorder = RunRecorder(
@@ -59,9 +78,9 @@ class TestManifest:
         assert clone.quality is not None
         assert clone.quality.fields[0].nan_rate == pytest.approx(0.5)
 
-    def test_manifest_carries_provenance(self):
+    def test_manifest_carries_provenance(self, fake_checkout):
         manifest = _record_one()
-        assert manifest.git_sha  # the repo is a git checkout
+        assert manifest.git_sha == _FAKE_SHA
         assert len(manifest.config_hash) == 64
         assert manifest.seed == 7
         assert manifest.peak_rss_bytes > 0
@@ -78,9 +97,12 @@ class TestManifest:
     def test_peak_rss_positive(self):
         assert peak_rss_bytes() > 1024 * 1024
 
-    def test_git_revision_here(self):
-        sha = git_revision()
-        assert sha and len(sha) == 40
+    def test_git_revision_here(self, fake_checkout, tmp_path):
+        assert git_revision() == _FAKE_SHA
+        assert git_revision(fake_checkout / "sub" / "dir") == _FAKE_SHA
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        assert git_revision(plain) is None
 
 
 class TestConfigFingerprint:
