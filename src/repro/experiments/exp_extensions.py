@@ -52,8 +52,7 @@ def run_ext_modem(
     results: dict[bool, np.ndarray] = {}
     for modems in (False, True):
         sim = PathSimulator(seed=seed, model_modems=modems)
-        rng = np.random.default_rng(seed + 5)
-        speeds = []
+        draws = sim.draws(WIRED_PANEL_PROFILE, np.random.default_rng(seed + 5))
         for i in range(n):
             household = Household(
                 f"ext-modem-h{i}", "A", 6, plan, -40.0, 5.0
@@ -62,10 +61,8 @@ def run_ext_modem(
                 f"ext-modem-u{i}", household, "desktop-ethernet",
                 "ethernet", 16.0, 1,
             )
-            speeds.append(
-                sim.run_test(user, WIRED_PANEL_PROFILE, 3, rng).download_mbps
-            )
-        results[modems] = np.asarray(speeds)
+            draws.add(draws.add_user(user), 3)
+        results[modems] = sim.compute(draws).download_mbps
     rows = []
     metrics: dict[str, float] = {}
     for modems, speeds in results.items():

@@ -12,6 +12,7 @@ the bulk of crowdsourced tests originate from lower subscription tiers.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -279,23 +280,41 @@ class SubscriberPopulation:
         seed: int | None = None,
     ) -> list[Subscriber]:
         """Generate ``n_users`` subscribers (deterministic per seed)."""
+        return list(self.iter_users(n_users, seed))
+
+    def iter_users(
+        self,
+        n_users: int,
+        seed: int | None = None,
+    ) -> Iterator[Subscriber]:
+        """Yield up to ``n_users`` subscribers, each built when asked for.
+
+        The batch-wide tier and platform draws are made first, for all
+        ``n_users``, so every subscriber yielded is the one
+        :meth:`generate_users` returns at that position -- however early
+        the caller stops.
+        """
         if n_users < 0:
             raise ValueError("n_users cannot be negative")
+        return self._iter_users(n_users, seed)
+
+    def _iter_users(
+        self, n_users: int, seed: int | None
+    ) -> Iterator[Subscriber]:
         rng = np.random.default_rng(self.seed if seed is None else seed)
         cfg = self.config
         tiers = np.asarray(sorted(self._tier_probs))
         tier_p = np.asarray([self._tier_probs[t] for t in tiers])
         tier_p = tier_p / tier_p.sum()
 
-        chosen_tiers = rng.choice(tiers, size=n_users, p=tier_p)
+        chosen_tiers = rng.choice(tiers, size=n_users, p=tier_p).tolist()
         platforms = rng.choice(
             len(PLATFORMS), size=n_users, p=np.asarray(cfg.platform_mix)
-        )
-        users: list[Subscriber] = []
+        ).tolist()
         for i in range(n_users):
-            tier = int(chosen_tiers[i])
+            tier = chosen_tiers[i]
             plan = self.catalog.plan_for_tier(tier)
-            platform = PLATFORMS[int(platforms[i])]
+            platform = PLATFORMS[platforms[i]]
             access = self._access_for_platform(platform, rng)
             band = (
                 5.0
@@ -310,17 +329,14 @@ class SubscriberPopulation:
                 rssi_mean_dbm=self._sample_rssi(rng),
                 band_ghz=band,
             )
-            users.append(
-                Subscriber(
-                    user_id=f"{self.city}-u{i:07d}",
-                    household=household,
-                    platform=platform,
-                    access=access,
-                    memory_gb=self._sample_memory(platform, rng),
-                    n_tests=self._sample_test_count(rng),
-                )
+            yield Subscriber(
+                user_id=f"{self.city}-u{i:07d}",
+                household=household,
+                platform=platform,
+                access=access,
+                memory_gb=self._sample_memory(platform, rng),
+                n_tests=self._sample_test_count(rng),
             )
-        return users
 
     def _access_for_platform(self, platform: str, rng) -> str:
         if platform in ("android", "ios", "desktop-wifi"):

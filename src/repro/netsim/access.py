@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.market.plans import Plan
 
-__all__ = ["AccessLink", "timeofday_factor", "OVERPROVISION_DOWNLOAD",
+__all__ = ["AccessLink", "timeofday_factor", "noisy_timeofday_factor",
+           "TIMEOFDAY_NOISE_SIGMA", "OVERPROVISION_DOWNLOAD",
            "OVERPROVISION_UPLOAD"]
 
 # Calibrated against the MBA cluster means of Section 4.3 and the upload
@@ -33,6 +34,8 @@ OVERPROVISION_UPLOAD = 1.14
 # the overnight advantage is ~10-15% at the median, the paper's "slightly
 # better performance recorded for tests conducted during 00-06 hours".
 _DAYTIME_FACTOR = 0.90
+# Spread of the per-test noise on the factor.
+TIMEOFDAY_NOISE_SIGMA = 0.02
 
 
 def timeofday_factor(hour: int, rng: np.random.Generator | None = None) -> float:
@@ -44,10 +47,21 @@ def timeofday_factor(hour: int, rng: np.random.Generator | None = None) -> float
     """
     if not 0 <= hour <= 23:
         raise ValueError(f"hour must be 0-23, got {hour}")
-    base = 1.0 if hour < 6 else _DAYTIME_FACTOR
     if rng is None:
-        return base
-    return min(max(base + rng.normal(0.0, 0.02), 0.6), 1.0)
+        return 1.0 if hour < 6 else _DAYTIME_FACTOR
+    return float(
+        noisy_timeofday_factor(hour, rng.normal(0.0, TIMEOFDAY_NOISE_SIGMA))
+    )
+
+
+def noisy_timeofday_factor(hour, noise):
+    """The factor of :func:`timeofday_factor` given its drawn noise.
+
+    Elementwise over equal-shape arrays of hours and noise draws; the
+    result is clamped to ``[0.6, 1]``.
+    """
+    base = np.where(np.asarray(hour) < 6, 1.0, _DAYTIME_FACTOR)
+    return np.minimum(np.maximum(base + noise, 0.6), 1.0)
 
 
 @dataclass(frozen=True)
@@ -96,5 +110,5 @@ class AccessLink:
         household_sigma: float = 0.03,
     ) -> "AccessLink":
         """Sample a link with per-household installation spread."""
-        factor = float(np.clip(rng.normal(1.0, household_sigma), 0.85, 1.15))
+        factor = min(max(rng.normal(1.0, household_sigma), 0.85), 1.15)
         return cls(plan=plan, household_factor=factor)

@@ -10,6 +10,7 @@ higher tiers (Section 6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,33 @@ class LatencyModel:
         if not 0 < self.median_loss < 1:
             raise ValueError("median loss must be in (0, 1)")
 
+    # Draw locations: the log of each median, taken once per model.
+    @cached_property
+    def log_median_rtt(self) -> float:
+        return float(np.log(self.median_rtt_ms))
+
+    @cached_property
+    def log_median_loss(self) -> float:
+        return float(np.log(self.median_loss))
+
+    def wifi_rtt_range_ms(self, band_ghz: float | None) -> tuple[float, float]:
+        """The WiFi extra-delay range: 2.4 GHz queues longer."""
+        if band_ghz == 2.4:
+            return self.wifi_24ghz_extra_rtt_range_ms
+        return self.wifi_extra_rtt_range_ms
+
+    @staticmethod
+    def rtt_ms(log_rtt, extra_ms):
+        """RTT from its log-normal draw and the WiFi extra delay drawn
+        with it (0 on wired access); elementwise over arrays."""
+        return np.maximum(np.exp(log_rtt) + extra_ms, 1.0)
+
+    @staticmethod
+    def loss_rate(log_loss, extra):
+        """Loss from its log-normal draw and the WiFi extra loss drawn
+        with it (0 on wired access); elementwise over arrays."""
+        return np.minimum(np.maximum(np.exp(log_loss) + extra, 1e-7), 0.05)
+
     def sample_rtt_ms(
         self,
         rng: np.random.Generator,
@@ -51,24 +79,16 @@ class LatencyModel:
         ``band_ghz`` selects the WiFi extra-delay range (2.4 GHz queues
         longer); it is ignored for wired tests.
         """
-        rtt = float(
-            np.exp(rng.normal(np.log(self.median_rtt_ms), self.rtt_sigma))
+        log_rtt = rng.normal(self.log_median_rtt, self.rtt_sigma)
+        extra = (
+            rng.uniform(*self.wifi_rtt_range_ms(band_ghz)) if on_wifi else 0.0
         )
-        if on_wifi:
-            if band_ghz == 2.4:
-                lo, hi = self.wifi_24ghz_extra_rtt_range_ms
-            else:
-                lo, hi = self.wifi_extra_rtt_range_ms
-            rtt += float(rng.uniform(lo, hi))
-        return max(rtt, 1.0)
+        return float(self.rtt_ms(log_rtt, extra))
 
     def sample_loss(
         self, rng: np.random.Generator, on_wifi: bool = False
     ) -> float:
         """One test's path loss probability."""
-        loss = float(
-            np.exp(rng.normal(np.log(self.median_loss), self.loss_sigma))
-        )
-        if on_wifi:
-            loss += float(rng.uniform(0.0, self.wifi_extra_loss))
-        return float(min(max(loss, 1e-7), 0.05))
+        log_loss = rng.normal(self.log_median_loss, self.loss_sigma)
+        extra = rng.uniform(0.0, self.wifi_extra_loss) if on_wifi else 0.0
+        return float(self.loss_rate(log_loss, extra))

@@ -7,6 +7,13 @@ and the TCP methodology of the vendor (flow count, window, whether the
 ramp-up is discarded) -- degraded by the fixed-duration saturation
 shortfall and small measurement noise.
 
+A run of tests has two phases.  :class:`TestDraws` makes each test's
+random draws -- and only those -- one scalar ``rng`` call at a time, in
+a fixed order.  No draw depends on a computed throughput, so
+:meth:`PathSimulator.compute` can then turn every test's draws into
+speeds in one numpy pass.  :meth:`PathSimulator.run_test` is the same
+two phases for one test.
+
 This is the module the vendor simulators (:mod:`repro.vendors`) call; it
 is deliberately vendor-agnostic, parameterised by a :class:`FlowProfile`.
 """
@@ -14,13 +21,18 @@ is deliberately vendor-agnostic, parameterised by a :class:`FlowProfile`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.market.plans import Plan
 from repro.market.population import Subscriber
-from repro.netsim.access import AccessLink, timeofday_factor
+from repro.netsim.access import (
+    TIMEOFDAY_NOISE_SIGMA,
+    AccessLink,
+    noisy_timeofday_factor,
+)
 from repro.netsim.device import device_memory_cap_mbps
 from repro.netsim.latency import LatencyModel
 from repro.netsim.modem import ModemProfile, sample_modem
@@ -29,7 +41,7 @@ from repro.netsim.tcp import (
     saturation_efficiency,
 )
 from repro.netsim.wifi import (
-    sample_contention_factor,
+    contention_range,
     wifi_throughput_cap_mbps,
 )
 
@@ -37,6 +49,9 @@ __all__ = [
     "FlowProfile",
     "TestConditions",
     "TestOutcome",
+    "TestDraws",
+    "TestResults",
+    "UserPath",
     "PathSimulator",
     "MULTI_FLOW_PROFILE",
     "SINGLE_FLOW_NDT_PROFILE",
@@ -129,9 +144,213 @@ class TestOutcome:
     conditions: TestConditions
 
 
+# Constants of the path model.
+_ETHERNET_GOODPUT_MBPS = 940.0  # gigabit Ethernet goodput
+_RSSI_NOISE_SIGMA_DB = 5.0  # per-test RSSI spread around the household mean
+_RSSI_MIN_DBM, _RSSI_MAX_DBM = -88.0, -20.0
+_WIFI_DOWNLOAD_FLOOR_MBPS = 1.0
+_UPLOAD_CONTENTION_FLOOR = 0.8
+_CLIENT_EFFICIENCY_LOC = -0.06
+_CLIENT_EFFICIENCY_MAX = 1.05
+_UPSTREAM_CRUSH_RANGE = (0.05, 0.35)
+_RESULT_FLOOR_MBPS = 0.05
+
+
 def _household_rng(household_id: str, salt: int) -> np.random.Generator:
     digest = hashlib.sha256(f"{household_id}:{salt}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+
+
+class UserPath(NamedTuple):
+    """What every test of one subscriber shares."""
+
+    on_wifi: bool
+    band_ghz: float
+    rssi_mean_dbm: float
+    contention_range: tuple[float, float]  # WiFi only
+    rtt_range_ms: tuple[float, float]  # WiFi extra delay; WiFi only
+    download_cap_mbps: float  # min of the ceilings other than WiFi
+    upload_cap_mbps: float
+
+
+class TestDraws:
+    """The random draws of a run of tests, in the order they are made.
+
+    :meth:`add` makes exactly the scalar ``rng`` calls of one test -- its
+    conditions, then its download, then its upload -- and appends the
+    raw values to flat lists, one entry per test.  Where a wired test
+    draws nothing, a neutral value stands in (an extra delay of 0, a
+    factor of 1).  The calls stay scalar and in this order, so every
+    number drawn is the same whether a run has one test or a million;
+    :meth:`PathSimulator.compute` then does all of the arithmetic.
+
+    ``profile`` may be ``None`` when only :meth:`conditions` is drawn.
+    """
+
+    def __init__(
+        self,
+        sim: "PathSimulator",
+        profile: FlowProfile | None,
+        rng: np.random.Generator,
+    ):
+        self.sim = sim
+        self.profile = profile
+        self._normal = rng.normal
+        self._uniform = rng.uniform
+        self._random = rng.random
+        self._exponential = rng.exponential
+        if profile is not None:
+            self._consumer = profile.client_efficiency_sigma > 0
+            self._upstream_p = sim._upstream_contention_prob(profile)
+        self.paths: list[UserPath] = []
+        # One entry per test.
+        self.user: list[int] = []
+        self.hour: list[int] = []
+        self.rssi_noise: list[float] = []
+        self.contention: list[float] = []
+        self.log_rtt: list[float] = []
+        self.rtt_extra: list[float] = []
+        self.log_loss: list[float] = []
+        self.loss_extra: list[float] = []
+        self.tod_noise: list[float] = []
+        self.cross_traffic: list[float] = []
+        self.client_noise: list[float] = []  # consumer profiles only
+        self.download_noise: list[float] = []
+        self.upstream_factor: list[float] = []  # consumer profiles only
+        self.upload_noise: list[float] = []
+
+    def add_user(self, subscriber: Subscriber) -> int:
+        """Register a subscriber; its tests are drawn by the returned id."""
+        self.paths.append(self.sim.user_path(subscriber))
+        return len(self.paths) - 1
+
+    def add(self, user: int, hour: int) -> int:
+        """Draw one full test of ``user`` at local ``hour``; its index."""
+        self.conditions(user, hour)
+        self.download()
+        self.upload()
+        return len(self.user) - 1
+
+    def conditions(self, user: int, hour: int) -> None:
+        """The per-test environment: WiFi, RTT, loss, time of day."""
+        if not 0 <= hour <= 23:
+            raise ValueError(f"hour must be 0-23, got {hour}")
+        path = self.paths[user]
+        wifi = path.on_wifi
+        normal, uniform = self._normal, self._uniform
+        latency = self.sim.latency_model
+        self.user.append(user)
+        self.hour.append(hour)
+        self.rssi_noise.append(
+            normal(0.0, _RSSI_NOISE_SIGMA_DB) if wifi else 0.0
+        )
+        self.contention.append(
+            uniform(*path.contention_range) if wifi else 1.0
+        )
+        self.log_rtt.append(
+            normal(latency.log_median_rtt, latency.rtt_sigma)
+        )
+        self.rtt_extra.append(uniform(*path.rtt_range_ms) if wifi else 0.0)
+        self.log_loss.append(
+            normal(latency.log_median_loss, latency.loss_sigma)
+        )
+        self.loss_extra.append(
+            uniform(0.0, latency.wifi_extra_loss) if wifi else 0.0
+        )
+        self.tod_noise.append(normal(0.0, TIMEOFDAY_NOISE_SIGMA))
+        self.cross_traffic.append(
+            self._exponential(self.sim.cross_traffic_scale_mbps)
+            if wifi
+            else 0.0
+        )
+
+    def download(self) -> None:
+        """The download's client-efficiency and noise draws."""
+        if self._consumer:
+            self.client_noise.append(
+                self._normal(
+                    _CLIENT_EFFICIENCY_LOC, self.profile.client_efficiency_sigma
+                )
+            )
+        self.download_noise.append(
+            self._normal(0.0, self.sim.download_noise_sigma)
+        )
+
+    def upload(self) -> None:
+        """The upload's competing-flow and noise draws."""
+        if self._consumer:
+            self.upstream_factor.append(
+                self._uniform(*_UPSTREAM_CRUSH_RANGE)
+                if self._random() < self._upstream_p
+                else 1.0
+            )
+        self.upload_noise.append(
+            self._normal(0.0, self.sim.upload_noise_sigma)
+        )
+
+
+@dataclass(frozen=True)
+class TestResults:
+    """A run of computed tests: one array entry per test, in draw order.
+
+    ``rssi_dbm`` and ``contention_factor`` are NaN on wired tests.
+    """
+
+    hour: np.ndarray
+    on_wifi: np.ndarray
+    rtt_ms: np.ndarray
+    loss_rate: np.ndarray
+    tod_factor: np.ndarray
+    rssi_dbm: np.ndarray
+    contention_factor: np.ndarray
+    cross_traffic_mbps: np.ndarray
+    download_mbps: np.ndarray | None = None
+    upload_mbps: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, conditions: TestConditions, on_wifi: bool) -> "TestResults":
+        """A run of one test with the given conditions, no speeds."""
+
+        def column(value) -> np.ndarray:
+            return np.asarray([np.nan if value is None else value], float)
+
+        return cls(
+            hour=np.asarray([conditions.hour], dtype=np.int64),
+            on_wifi=np.asarray([on_wifi]),
+            rtt_ms=column(conditions.rtt_ms),
+            loss_rate=column(conditions.loss_rate),
+            tod_factor=column(conditions.tod_factor),
+            rssi_dbm=column(conditions.rssi_dbm),
+            contention_factor=column(conditions.contention_factor),
+            cross_traffic_mbps=column(conditions.cross_traffic_mbps),
+        )
+
+    def __len__(self) -> int:
+        return len(self.hour)
+
+    def conditions(self, i: int) -> TestConditions:
+        wifi = bool(self.on_wifi[i])
+        return TestConditions(
+            hour=int(self.hour[i]),
+            rtt_ms=float(self.rtt_ms[i]),
+            loss_rate=float(self.loss_rate[i]),
+            tod_factor=float(self.tod_factor[i]),
+            rssi_dbm=float(self.rssi_dbm[i]) if wifi else None,
+            contention_factor=(
+                float(self.contention_factor[i]) if wifi else None
+            ),
+            cross_traffic_mbps=float(self.cross_traffic_mbps[i]),
+        )
+
+    def outcome(self, i: int) -> TestOutcome:
+        conditions = self.conditions(i)
+        return TestOutcome(
+            download_mbps=float(self.download_mbps[i]),
+            upload_mbps=float(self.upload_mbps[i]),
+            rtt_ms=conditions.rtt_ms,
+            loss_rate=conditions.loss_rate,
+            conditions=conditions,
+        )
 
 
 class PathSimulator:
@@ -207,69 +426,122 @@ class PathSimulator:
             self._modems[household_id] = modem
         return modem
 
-    def sample_conditions(
-        self,
-        subscriber: Subscriber,
-        hour: int,
-        rng: np.random.Generator,
-    ) -> TestConditions:
-        """Sample the per-test environment for one measurement."""
+    def user_path(self, subscriber: Subscriber) -> UserPath:
+        """The subscriber's access, WiFi placement and fixed ceilings."""
+        household = subscriber.household
         on_wifi = subscriber.access == "wifi"
-        rssi = None
-        contention = None
-        if on_wifi:
-            household = subscriber.household
-            rssi = min(
-                max(household.rssi_mean_dbm + rng.normal(0.0, 5.0), -88.0),
-                -20.0,
-            )
-            contention = sample_contention_factor(household.band_ghz, rng)
-        return TestConditions(
-            hour=hour,
-            rtt_ms=self.latency_model.sample_rtt_ms(
-                rng,
-                on_wifi=on_wifi,
-                band_ghz=(
-                    subscriber.household.band_ghz if on_wifi else None
-                ),
+        link = self.access_link(subscriber)
+        download = [link.download_capacity_mbps]
+        upload = [link.upload_capacity_mbps]
+        if not on_wifi:
+            download.append(_ETHERNET_GOODPUT_MBPS)
+            upload.append(_ETHERNET_GOODPUT_MBPS)
+        if subscriber.platform in ("android", "ios"):
+            memory_cap = device_memory_cap_mbps(subscriber.memory_gb)
+            download.append(memory_cap)
+            upload.append(memory_cap)
+        if self.model_modems:
+            modem = self.household_modem(subscriber)
+            download.append(modem.max_download_mbps)
+            upload.append(modem.max_upload_mbps)
+        return UserPath(
+            on_wifi=on_wifi,
+            band_ghz=household.band_ghz,
+            rssi_mean_dbm=household.rssi_mean_dbm,
+            contention_range=contention_range(household.band_ghz),
+            rtt_range_ms=self.latency_model.wifi_rtt_range_ms(
+                household.band_ghz
             ),
-            loss_rate=self.latency_model.sample_loss(rng, on_wifi=on_wifi),
-            tod_factor=timeofday_factor(hour, rng),
-            rssi_dbm=rssi,
-            contention_factor=contention,
-            cross_traffic_mbps=(
-                float(rng.exponential(self.cross_traffic_scale_mbps))
-                if on_wifi
-                else 0.0
-            ),
+            download_cap_mbps=min(download),
+            upload_cap_mbps=min(upload),
         )
 
+    def draws(
+        self, profile: FlowProfile, rng: np.random.Generator
+    ) -> TestDraws:
+        """An empty run of ``profile`` tests drawing from ``rng``."""
+        return TestDraws(self, profile, rng)
+
     # ------------------------------------------------------------------
-    def _path_ceilings(
+    def compute(self, draws: TestDraws) -> TestResults:
+        """Every drawn test's conditions and speeds, in one numpy pass."""
+        conditions = self._conditions(draws)
+        return replace(
+            conditions,
+            download_mbps=self._direction_mbps(draws, conditions, "download"),
+            upload_mbps=self._direction_mbps(draws, conditions, "upload"),
+        )
+
+    def _conditions(self, draws: TestDraws) -> TestResults:
+        """The drawn conditions of every test (no speeds yet)."""
+        user = np.asarray(draws.user, dtype=np.intp)
+        paths = draws.paths
+        wifi = np.array([p.on_wifi for p in paths], dtype=bool)[user]
+        rssi_mean = np.array([p.rssi_mean_dbm for p in paths], dtype=float)
+        rssi = np.full(len(user), np.nan)
+        rssi[wifi] = np.minimum(
+            np.maximum(
+                rssi_mean[user[wifi]]
+                + np.asarray(draws.rssi_noise, dtype=float)[wifi],
+                _RSSI_MIN_DBM,
+            ),
+            _RSSI_MAX_DBM,
+        )
+        hour = np.asarray(draws.hour, dtype=np.int64)
+        latency = self.latency_model
+        return TestResults(
+            hour=hour,
+            on_wifi=wifi,
+            rtt_ms=latency.rtt_ms(
+                np.asarray(draws.log_rtt, dtype=float),
+                np.asarray(draws.rtt_extra, dtype=float),
+            ),
+            loss_rate=latency.loss_rate(
+                np.asarray(draws.log_loss, dtype=float),
+                np.asarray(draws.loss_extra, dtype=float),
+            ),
+            tod_factor=noisy_timeofday_factor(
+                hour, np.asarray(draws.tod_noise, dtype=float)
+            ),
+            rssi_dbm=rssi,
+            contention_factor=np.where(
+                wifi, np.asarray(draws.contention, dtype=float), np.nan
+            ),
+            cross_traffic_mbps=np.asarray(draws.cross_traffic, dtype=float),
+        )
+
+    def _direction_mbps(
         self,
-        subscriber: Subscriber,
-        conditions: TestConditions,
+        draws: TestDraws,
+        conditions: TestResults,
         direction: str,
-    ) -> float:
-        """Minimum of the non-TCP ceilings along the path (Mbps)."""
-        link = self.access_link(subscriber)
-        if direction == "download":
-            ceilings = [link.download_capacity_mbps]
-        else:
-            ceilings = [link.upload_capacity_mbps]
-        if subscriber.access == "wifi":
-            assert conditions.rssi_dbm is not None
-            assert conditions.contention_factor is not None
-            if direction == "download":
-                wifi_cap = wifi_throughput_cap_mbps(
-                    subscriber.household.band_ghz,
-                    conditions.rssi_dbm,
-                    conditions.contention_factor,
-                )
+    ) -> np.ndarray:
+        """Reported throughput of one direction of every drawn test."""
+        download = direction == "download"
+        profile = draws.profile
+        user = np.asarray(draws.user, dtype=np.intp)
+        paths = draws.paths
+        cap = np.array(
+            [
+                p.download_cap_mbps if download else p.upload_cap_mbps
+                for p in paths
+            ],
+            dtype=float,
+        )[user]
+        band = np.array([p.band_ghz for p in paths], dtype=float)[user]
+        for band_ghz in (5.0, 2.4):
+            on = conditions.on_wifi & (band == band_ghz)
+            if not on.any():
+                continue
+            rssi = conditions.rssi_dbm[on]
+            contention = conditions.contention_factor[on]
+            if download:
+                wifi_cap = wifi_throughput_cap_mbps(band_ghz, rssi, contention)
                 # Other household devices consume airtime and downstream
                 # capacity during the test (streaming, sync traffic).
-                wifi_cap = max(
-                    wifi_cap - conditions.cross_traffic_mbps, 1.0
+                wifi_cap = np.maximum(
+                    wifi_cap - conditions.cross_traffic_mbps[on],
+                    _WIFI_DOWNLOAD_FLOOR_MBPS,
                 )
             else:
                 # A short upload burst at residential rates (<= 40 Mbps)
@@ -278,42 +550,17 @@ class PathSimulator:
                 # bites -- which keeps uploads the clean tier
                 # fingerprint of Section 4.1.
                 wifi_cap = wifi_throughput_cap_mbps(
-                    subscriber.household.band_ghz,
-                    conditions.rssi_dbm,
-                    max(conditions.contention_factor, 0.8),
+                    band_ghz,
+                    rssi,
+                    np.maximum(contention, _UPLOAD_CONTENTION_FLOOR),
                 )
-            ceilings.append(wifi_cap)
-        else:
-            ceilings.append(940.0)  # gigabit Ethernet goodput
-        if subscriber.platform in ("android", "ios"):
-            ceilings.append(device_memory_cap_mbps(subscriber.memory_gb))
-        if self.model_modems:
-            modem = self.household_modem(subscriber)
-            ceilings.append(
-                modem.max_download_mbps
-                if direction == "download"
-                else modem.max_upload_mbps
-            )
-        return min(ceilings)
-
-    def simulate_direction(
-        self,
-        subscriber: Subscriber,
-        profile: FlowProfile,
-        conditions: TestConditions,
-        rng: np.random.Generator,
-        direction: str,
-    ) -> float:
-        """Reported throughput for one direction of one test."""
-        if direction not in ("download", "upload"):
-            raise ValueError(f"unknown direction {direction!r}")
-        path_cap = self._path_ceilings(subscriber, conditions, direction)
+            cap[on] = np.minimum(cap[on], wifi_cap)
         per_flow = flow_throughput_mbps(
             conditions.rtt_ms,
             conditions.loss_rate,
             window_bytes=profile.window_bytes,
         )
-        target = min(path_cap, profile.n_flows * per_flow)
+        target = np.minimum(cap, profile.n_flows * per_flow)
         # Diurnal congestion is path-wide -- shared cable segment, WiFi
         # neighbourhood airtime, server load -- so it scales the achieved
         # rate whatever the binding ceiling is (Section 6.2's mild
@@ -324,35 +571,60 @@ class PathSimulator:
             * saturation_efficiency(target)
             * profile.methodology_efficiency
         )
-        if (
-            profile.client_efficiency_sigma > 0
-            and direction == "upload"
-            and rng.random() < self._upstream_contention_prob(profile)
-        ):
-            # A concurrent upstream flow (cloud backup, video call)
-            # crushes the thin uplink during the test.  Consumer tests
-            # hit this; panel whiteboxes defer measurements under cross
-            # traffic, which is why MBA uploads stay clean while the
-            # crowdsourced data shows an off-menu ~1 Mbps cluster
-            # (Section 5.1 / Figure 6).
-            measured *= float(rng.uniform(0.05, 0.35))
-        if profile.client_efficiency_sigma > 0 and direction == "download":
+        if profile.client_efficiency_sigma > 0 and download:
             # Consumer environments (browsers, home routers, background
             # apps) shave download throughput below what dedicated panel
             # hardware achieves; never above a small headroom.  Uploads
             # are too slow for these client limits to bind, which keeps
             # the upload tier-fingerprint sharp (Section 4.1).
-            factor = float(
-                np.exp(rng.normal(-0.06, profile.client_efficiency_sigma))
+            measured = measured * np.minimum(
+                np.exp(np.asarray(draws.client_noise, dtype=float)),
+                _CLIENT_EFFICIENCY_MAX,
             )
-            measured *= min(factor, 1.05)
-        sigma = (
-            self.download_noise_sigma
-            if direction == "download"
-            else self.upload_noise_sigma
-        )
-        measured *= float(np.exp(rng.normal(0.0, sigma)))
-        return max(measured, 0.05)
+        elif profile.client_efficiency_sigma > 0:
+            # A concurrent upstream flow (cloud backup, video call)
+            # crushes the thin uplink during the test.  Consumer tests
+            # hit this; panel whiteboxes defer measurements under cross
+            # traffic, which is why MBA uploads stay clean while the
+            # crowdsourced data shows an off-menu ~1 Mbps cluster
+            # (Section 5.1 / Figure 6).  Untouched tests drew a factor
+            # of 1.
+            measured = measured * np.asarray(draws.upstream_factor, dtype=float)
+        noise = draws.download_noise if download else draws.upload_noise
+        measured = measured * np.exp(np.asarray(noise, dtype=float))
+        return np.maximum(measured, _RESULT_FLOOR_MBPS)
+
+    # ------------------------------------------------------------------
+    def sample_conditions(
+        self,
+        subscriber: Subscriber,
+        hour: int,
+        rng: np.random.Generator,
+    ) -> TestConditions:
+        """Sample the per-test environment for one measurement."""
+        draws = TestDraws(self, None, rng)
+        draws.conditions(draws.add_user(subscriber), hour)
+        return self._conditions(draws).conditions(0)
+
+    def simulate_direction(
+        self,
+        subscriber: Subscriber,
+        profile: FlowProfile,
+        conditions: TestConditions,
+        rng: np.random.Generator,
+        direction: str,
+    ) -> float:
+        """Reported throughput for one direction of one test whose
+        conditions are already sampled."""
+        if direction not in ("download", "upload"):
+            raise ValueError(f"unknown direction {direction!r}")
+        draws = self.draws(profile, rng)
+        user = draws.add_user(subscriber)
+        draws.user.append(user)
+        getattr(draws, direction)()
+        given = TestResults.of(conditions, draws.paths[user].on_wifi)
+        measured = self._direction_mbps(draws, given, direction)
+        return float(measured[0])
 
     def run_test(
         self,
@@ -362,17 +634,6 @@ class PathSimulator:
         rng: np.random.Generator,
     ) -> TestOutcome:
         """Run one full (download + upload) simulated speed test."""
-        conditions = self.sample_conditions(subscriber, hour, rng)
-        download = self.simulate_direction(
-            subscriber, profile, conditions, rng, "download"
-        )
-        upload = self.simulate_direction(
-            subscriber, profile, conditions, rng, "upload"
-        )
-        return TestOutcome(
-            download_mbps=download,
-            upload_mbps=upload,
-            rtt_ms=conditions.rtt_ms,
-            loss_rate=conditions.loss_rate,
-            conditions=conditions,
-        )
+        draws = self.draws(profile, rng)
+        draws.add(draws.add_user(subscriber), hour)
+        return self.compute(draws).outcome(0)

@@ -23,7 +23,7 @@ the available bandwidth in the higher end of the offered plans").
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 __all__ = [
     "mathis_throughput_mbps",
@@ -38,47 +38,56 @@ DEFAULT_MSS_BYTES = 1460
 
 
 def mathis_throughput_mbps(
-    rtt_ms: float,
-    loss_rate: float,
+    rtt_ms,
+    loss_rate,
     mss_bytes: int = DEFAULT_MSS_BYTES,
-) -> float:
+):
     """Mathis-model steady-state throughput of one TCP flow, in Mbps.
 
     ``loss_rate`` is the packet loss probability; zero loss returns
-    ``inf`` (the window limit will bind instead).
+    ``inf`` (the window limit will bind instead).  ``rtt_ms`` and
+    ``loss_rate`` may be floats or equal-shape arrays.
     """
-    if rtt_ms <= 0:
+    rtt = np.asarray(rtt_ms, dtype=float)
+    loss = np.asarray(loss_rate, dtype=float)
+    if (rtt <= 0).any():
         raise ValueError("RTT must be positive")
-    if not 0.0 <= loss_rate < 1.0:
+    if not ((loss >= 0.0) & (loss < 1.0)).all():
         raise ValueError("loss rate must be in [0, 1)")
-    if loss_rate == 0.0:
-        return math.inf
-    bytes_per_second = (
-        mss_bytes / (rtt_ms / 1000.0) * MATHIS_CONSTANT / math.sqrt(loss_rate)
-    )
+    with np.errstate(divide="ignore"):
+        bytes_per_second = (
+            mss_bytes / (rtt / 1000.0) * MATHIS_CONSTANT / np.sqrt(loss)
+        )
     return bytes_per_second * 8.0 / 1e6
 
 
 def window_limited_throughput_mbps(
     window_bytes: float,
-    rtt_ms: float,
-) -> float:
-    """Receive-window ceiling of one flow: ``window / RTT`` in Mbps."""
-    if rtt_ms <= 0:
+    rtt_ms,
+):
+    """Receive-window ceiling of one flow: ``window / RTT`` in Mbps.
+
+    ``rtt_ms`` may be a float or an array.
+    """
+    rtt = np.asarray(rtt_ms, dtype=float)
+    if (rtt <= 0).any():
         raise ValueError("RTT must be positive")
     if window_bytes <= 0:
         raise ValueError("window must be positive")
-    return window_bytes * 8.0 / (rtt_ms / 1000.0) / 1e6
+    return window_bytes * 8.0 / (rtt / 1000.0) / 1e6
 
 
 def flow_throughput_mbps(
-    rtt_ms: float,
-    loss_rate: float,
+    rtt_ms,
+    loss_rate,
     window_bytes: float = 4 * 1024 * 1024,
     mss_bytes: int = DEFAULT_MSS_BYTES,
-) -> float:
-    """Per-flow throughput: min of the Mathis and window ceilings."""
-    return min(
+):
+    """Per-flow throughput: min of the Mathis and window ceilings.
+
+    Elementwise over equal-shape arrays of ``rtt_ms`` and ``loss_rate``.
+    """
+    return np.minimum(
         mathis_throughput_mbps(rtt_ms, loss_rate, mss_bytes),
         window_limited_throughput_mbps(window_bytes, rtt_ms),
     )
@@ -106,11 +115,11 @@ def multi_flow_throughput_mbps(
 
 
 def saturation_efficiency(
-    target_mbps: float,
+    target_mbps,
     knee_mbps: float = 1400.0,
     max_deficit: float = 0.35,
     gamma: float = 1.7,
-) -> float:
+):
     """Fraction of a target rate a fixed-duration test actually averages.
 
     Low rates saturate almost immediately (efficiency ~1); near-gigabit
@@ -122,11 +131,20 @@ def saturation_efficiency(
     clamped to ``[1 - max_deficit, 1]``.  With the defaults, a 230 Mbps
     target keeps ~98% and a 1380 Mbps target ~66% -- matching the wired
     MBA means of Section 4.3 (231.7 measured on the 200 Mbps plan,
-    892 on the 1200 Mbps plan).
+    892 on the 1200 Mbps plan).  ``target_mbps`` may be a float or an
+    array.
     """
-    if target_mbps <= 0:
+    target = np.asarray(target_mbps, dtype=float)
+    if (target <= 0).any():
         raise ValueError("target rate must be positive")
     if not 0.0 <= max_deficit < 1.0:
         raise ValueError("max_deficit must be in [0, 1)")
-    deficit = max_deficit * (target_mbps / knee_mbps) ** gamma
-    return max(1.0 - max_deficit, 1.0 - min(deficit, max_deficit))
+    ratio = target / knee_mbps
+    # Python's float pow, one element at a time: np.power may take a
+    # SIMD path whose last bit differs, and that would move every
+    # simulated speed.
+    powered = np.array(
+        [r**gamma for r in ratio.ravel().tolist()], dtype=float
+    ).reshape(ratio.shape)
+    deficit = max_deficit * powered
+    return np.maximum(1.0 - max_deficit, 1.0 - np.minimum(deficit, max_deficit))

@@ -24,6 +24,7 @@ __all__ = [
     "wifi_phy_rate_mbps",
     "wifi_mac_efficiency",
     "wifi_throughput_cap_mbps",
+    "contention_range",
     "sample_contention_factor",
 ]
 
@@ -69,19 +70,34 @@ _INTERP_TABLES = {
 }
 
 
-def wifi_phy_rate_mbps(band_ghz: float, rssi_dbm: float) -> float:
-    """Negotiated PHY rate for a band/RSSI pair, via table interpolation."""
+def wifi_phy_rate_mbps(band_ghz: float, rssi_dbm):
+    """Negotiated PHY rate for a band/RSSI pair, via table interpolation.
+
+    ``rssi_dbm`` may be a float or an array of one band's RSSIs.
+    """
     try:
         rssis, rates = _INTERP_TABLES[band_ghz]
     except KeyError:
         raise ValueError(f"unsupported WiFi band {band_ghz} GHz") from None
-    return float(np.interp(rssi_dbm, rssis, rates))
+    return np.interp(rssi_dbm, rssis, rates)
 
 
 def wifi_mac_efficiency(band_ghz: float) -> float:
     """Fraction of PHY rate available to TCP goodput on a quiet channel."""
     try:
         return _MAC_EFFICIENCY[band_ghz]
+    except KeyError:
+        raise ValueError(f"unsupported WiFi band {band_ghz} GHz") from None
+
+
+# Uniform range of the per-test airtime share kept, per band.
+_CONTENTION_RANGE = {5.0: (0.45, 0.95), 2.4: (0.30, 0.85)}
+
+
+def contention_range(band_ghz: float) -> tuple[float, float]:
+    """The ``(low, high)`` a band's contention factor is drawn from."""
+    try:
+        return _CONTENTION_RANGE[band_ghz]
     except KeyError:
         raise ValueError(f"unsupported WiFi band {band_ghz} GHz") from None
 
@@ -94,20 +110,21 @@ def sample_contention_factor(band_ghz: float, rng: np.random.Generator) -> float
     sampled per *test*, which is what gives repeated WiFi downloads their
     low consistency factor.
     """
-    if band_ghz == 5.0:
-        return float(rng.uniform(0.45, 0.95))
-    if band_ghz == 2.4:
-        return float(rng.uniform(0.30, 0.85))
-    raise ValueError(f"unsupported WiFi band {band_ghz} GHz")
+    return float(rng.uniform(*contention_range(band_ghz)))
 
 
 def wifi_throughput_cap_mbps(
     band_ghz: float,
-    rssi_dbm: float,
-    contention_factor: float = 1.0,
-) -> float:
-    """TCP-level throughput ceiling of the WiFi hop for one test."""
-    if not 0.0 < contention_factor <= 1.0:
+    rssi_dbm,
+    contention_factor=1.0,
+):
+    """TCP-level throughput ceiling of the WiFi hop for one test.
+
+    ``rssi_dbm`` and ``contention_factor`` may be floats or equal-shape
+    arrays of one band's tests.
+    """
+    contention = np.asarray(contention_factor, dtype=float)
+    if not ((contention > 0.0) & (contention <= 1.0)).all():
         raise ValueError("contention factor must be in (0, 1]")
     phy = wifi_phy_rate_mbps(band_ghz, rssi_dbm)
-    return phy * wifi_mac_efficiency(band_ghz) * contention_factor
+    return phy * wifi_mac_efficiency(band_ghz) * contention

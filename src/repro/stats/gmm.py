@@ -91,7 +91,9 @@ class GaussianMixture:
     max_iter:
         EM iteration cap.
     tol:
-        Convergence tolerance on the per-sample log-likelihood improvement.
+        Relative convergence tolerance on the total log-likelihood: EM
+        stops once ``|ll - prev_ll| < tol * max(1, |ll|)``, where ``ll``
+        is the log-likelihood summed over the sample.
     var_floor_frac:
         Variance floor, as a fraction of the sample variance, that keeps
         components from collapsing onto single points.

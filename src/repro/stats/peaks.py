@@ -37,23 +37,36 @@ def _local_maxima(density: np.ndarray) -> np.ndarray:
     falls away from the first), and a plateau that touches either end,
     report a maximum there -- an edge-hugging cluster whose mode lands on
     the grid boundary must not vanish.  A fully constant curve has none.
+    A plateau reports its middle index (the lower one of two).
     """
-    if density.size < 3:
-        return np.array([], dtype=int)
-    maxima = []
     n = density.size
-    i = 0
-    while i < n:
-        # Walk across any plateau [i, j].
-        j = i
-        while j + 1 < n and density[j + 1] == density[j]:
-            j += 1
-        rises_left = i == 0 or density[i - 1] < density[i]
-        falls_right = j == n - 1 or density[j + 1] < density[j]
-        if rises_left and falls_right and not (i == 0 and j == n - 1):
-            maxima.append((i + j) // 2)
-        i = j + 1
-    return np.asarray(maxima, dtype=int)
+    if n < 3:
+        return np.array([], dtype=int)
+    # Runs of equal values: plateau r spans [starts[r], ends[r]].  NaN
+    # equals nothing, so each NaN is a run of its own.
+    starts = np.flatnonzero(
+        np.concatenate(([True], density[1:] != density[:-1]))
+    )
+    ends = np.append(starts[1:] - 1, n - 1)
+    rises_left = np.ones(starts.size, dtype=bool)
+    rises_left[1:] = density[starts[1:] - 1] < density[starts[1:]]
+    falls_right = np.ones(starts.size, dtype=bool)
+    falls_right[:-1] = density[ends[:-1] + 1] < density[ends[:-1]]
+    keep = rises_left & falls_right & ~((starts == 0) & (ends == n - 1))
+    return ((starts[keep] + ends[keep]) // 2).astype(int)
+
+
+def _side_min(side: np.ndarray, height: float) -> float:
+    """Lowest point of ``side`` (ordered outward from the peak, the peak
+    itself first) before the first point higher than the peak.
+
+    With no higher point the whole side counts, NaN included; otherwise
+    NaNs are passed over, as a running ``min`` passes over them.
+    """
+    higher = np.flatnonzero(side > height)
+    if higher.size == 0:
+        return float(side.min())
+    return float(np.fmin.reduce(side[: higher[0]]))
 
 
 def _prominence(density: np.ndarray, index: int) -> float:
@@ -68,26 +81,9 @@ def _prominence(density: np.ndarray, index: int) -> float:
     height = density[index]
     side_mins: list[float] = []
     if index > 0:
-        # Left side: lowest point between the peak and the nearest
-        # higher point.
-        left_min = height
-        for i in range(index - 1, -1, -1):
-            if density[i] > height:
-                break
-            left_min = min(left_min, density[i])
-        else:
-            left_min = float(density[: index + 1].min())
-        side_mins.append(left_min)
+        side_mins.append(_side_min(density[index::-1], height))
     if index < density.size - 1:
-        # Right side, symmetric.
-        right_min = height
-        for i in range(index + 1, density.size):
-            if density[i] > height:
-                break
-            right_min = min(right_min, density[i])
-        else:
-            right_min = float(density[index:].min())
-        side_mins.append(right_min)
+        side_mins.append(_side_min(density[index:], height))
     if not side_mins:
         return float(height)
     return float(height - max(side_mins))

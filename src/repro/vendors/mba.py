@@ -170,24 +170,34 @@ class MBASimulator:
             self.n_units * self.tests_per_day * days_per_month * len(MBA_MONTHS)
         )
         total = total_default if n_tests is None else min(n_tests, 10**9)
-        columns: dict[str, list] = {name: [] for name in MBA_COLUMNS}
-        emitted = 0
+        if total <= 0:
+            return ColumnTable({name: [] for name in MBA_COLUMNS})
+        integers = rng.integers
+        draws = self.path.draws(self.profile, rng)
+        ids = [draws.add_user(unit) for unit in units]
+        n_months = len(MBA_MONTHS)
+        months: list[int] = []
         # Round-robin units through day slots so every unit contributes
-        # evenly, as a managed panel does.
-        while emitted < total:
-            for unit in units:
-                if emitted >= total:
-                    break
-                month = MBA_MONTHS[int(rng.integers(0, len(MBA_MONTHS)))]
-                hour = int(rng.integers(0, 24))  # panels test around the clock
-                outcome = self.path.run_test(unit, self.profile, hour, rng)
-                columns["unit_id"].append(unit.user_id)
-                columns["state"].append(self.state)
-                columns["isp"].append(self.catalog.isp_name)
-                columns["download_mbps"].append(outcome.download_mbps)
-                columns["upload_mbps"].append(outcome.upload_mbps)
-                columns["month"].append(month)
-                columns["hour"].append(hour)
-                columns["tier"].append(unit.tier)
-                emitted += 1
-        return ColumnTable(columns)
+        # evenly, as a managed panel does: test k is unit k mod len(units).
+        for k in range(total):
+            months.append(MBA_MONTHS[int(integers(0, n_months))])
+            hour = int(integers(0, 24))  # panels test around the clock
+            draws.add(ids[k % len(ids)], hour)
+        tests = self.path.compute(draws)
+        unit_of_test = np.arange(total) % len(units)
+        return ColumnTable(
+            {
+                "unit_id": np.array(
+                    [unit.user_id for unit in units], dtype=object
+                )[unit_of_test],
+                "state": np.full(total, self.state, dtype=object),
+                "isp": np.full(total, self.catalog.isp_name, dtype=object),
+                "download_mbps": tests.download_mbps,
+                "upload_mbps": tests.upload_mbps,
+                "month": np.asarray(months),
+                "hour": tests.hour,
+                "tier": np.asarray([unit.tier for unit in units])[
+                    unit_of_test
+                ],
+            }
+        )

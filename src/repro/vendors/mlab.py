@@ -119,66 +119,81 @@ class MLabSimulator:
         users = self.population.generate_users(
             n_sessions, seed=self.seed + 3
         )
-        columns: dict[str, list] = {name: [] for name in MLAB_COLUMNS}
-        record_index = 0
-
-        def emit(
-            user, direction: str, speed: float, rtt: float,
-            timestamp: float, month: int, hour: int, server_ip: str,
-        ) -> None:
-            nonlocal record_index
-            columns["test_id"].append(
-                f"ndt-{self.city}-{record_index:08d}"
-            )
-            columns["client_ip"].append(_client_ip(user.user_id))
-            columns["server_ip"].append(server_ip)
-            columns["asn"].append(_asn_for_isp(self.catalog.isp_name))
-            columns["city"].append(self.city)
-            columns["isp"].append(self.catalog.isp_name)
-            columns["direction"].append(direction)
-            columns["speed_mbps"].append(speed)
-            columns["rtt_ms"].append(rtt)
-            columns["timestamp_s"].append(timestamp)
-            columns["month"].append(month)
-            columns["hour"].append(hour)
-            columns["true_tier"].append(user.tier)
-            record_index += 1
-
+        if not users:
+            return ColumnTable({name: [] for name in MLAB_COLUMNS})
+        integers = rng.integers
+        draws = self.path.draws(self.profile, rng)
+        ids = [draws.add_user(user) for user in users]
+        # One entry per record: (test, direction, timestamp, month, hour,
+        # server_ip, user).
+        records: list[tuple] = []
         for session_index in range(n_sessions):
-            user = users[session_index % len(users)]
+            user = session_index % len(users)
             month = sample_test_month(rng)
             hour = sample_test_hour(rng)
-            day_of_year = (month - 1) * 30 + int(rng.integers(0, 28))
+            day_of_year = (month - 1) * 30 + int(integers(0, 28))
             timestamp = float(
                 day_of_year * _SECONDS_PER_DAY
                 + hour * 3600
-                + rng.integers(0, 3600)
+                + integers(0, 3600)
             )
             # NDT routes a session to one nearby server; both directions
             # of a visit hit the same server, which is what makes the
             # same-client/same-server join of Section 3.2 work.
-            server_ip = f"203.0.113.{int(rng.integers(1, 16))}"
-            outcome = self.path.run_test(user, self.profile, hour, rng)
-            emit(
-                user, "download", outcome.download_mbps, outcome.rtt_ms,
-                timestamp, month, hour, server_ip,
+            server_ip = f"203.0.113.{int(integers(1, 16))}"
+            test = draws.add(ids[user], hour)
+            records.append(
+                (test, "download", timestamp, month, hour, server_ip, user)
             )
             if rng.random() < self.upload_followup_prob:
                 delay = float(rng.uniform(5.0, 90.0))
-                emit(
-                    user, "upload", outcome.upload_mbps, outcome.rtt_ms,
-                    timestamp + delay, month, hour, server_ip,
+                records.append(
+                    (test, "upload", timestamp + delay, month, hour,
+                     server_ip, user)
                 )
             if rng.random() < self.stray_upload_prob:
                 # A second upload far outside the window -- the join must
                 # prefer the earliest in-window candidate and ignore this.
-                stray = self.path.run_test(user, self.profile, hour, rng)
-                emit(
-                    user, "upload", stray.upload_mbps, stray.rtt_ms,
-                    timestamp + float(rng.uniform(200.0, 3000.0)),
-                    month, hour, server_ip,
+                stray = draws.add(ids[user], hour)
+                records.append(
+                    (stray, "upload",
+                     timestamp + float(rng.uniform(200.0, 3000.0)),
+                     month, hour, server_ip, user)
                 )
-        return ColumnTable(columns)
+        tests = self.path.compute(draws)
+        test, direction, timestamp, month, hour, server_ip, user = (
+            list(column) for column in zip(*records)
+        )
+        test = np.asarray(test)
+        user = np.asarray(user)
+        direction = np.array(direction, dtype=object)
+        n = len(records)
+        return ColumnTable(
+            {
+                "test_id": np.array(
+                    [f"ndt-{self.city}-{i:08d}" for i in range(n)],
+                    dtype=object,
+                ),
+                "client_ip": np.array(
+                    [_client_ip(u.user_id) for u in users], dtype=object
+                )[user],
+                "server_ip": np.array(server_ip, dtype=object),
+                "asn": np.full(n, _asn_for_isp(self.catalog.isp_name)),
+                "city": np.full(n, self.city, dtype=object),
+                "isp": np.full(n, self.catalog.isp_name, dtype=object),
+                "direction": direction,
+                "speed_mbps": np.where(
+                    direction == "download",
+                    tests.download_mbps[test],
+                    tests.upload_mbps[test],
+                ),
+                "rtt_ms": tests.rtt_ms[test],
+                "timestamp_s": np.asarray(timestamp),
+                "month": np.asarray(month),
+                "hour": np.asarray(hour),
+                "true_tier": np.asarray([u.tier for u in users])[user],
+            }
+        )
 
 
 def _stable_token(text: str, modulus: int) -> int:

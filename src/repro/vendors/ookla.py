@@ -80,7 +80,11 @@ class OoklaSimulator:
 
     # ------------------------------------------------------------------
     def generate_users(self, n_tests: int) -> list[Subscriber]:
-        """Enough subscribers to cover ``n_tests`` measurements."""
+        """Enough subscribers to cover ``n_tests`` measurements.
+
+        Users come from population batches of ``max(64, n_tests // 2)``,
+        each built only as far as it is needed.
+        """
         if n_tests < 0:
             raise ValueError("n_tests cannot be negative")
         rng = np.random.default_rng(self.seed)
@@ -88,10 +92,9 @@ class OoklaSimulator:
         total = 0
         batch = max(64, n_tests // 2)
         while total < n_tests:
-            new = self.population.generate_users(
+            for user in self.population.iter_users(
                 batch, seed=int(rng.integers(0, 2**63))
-            )
-            for user in new:
+            ):
                 users.append(user)
                 total += user.n_tests
                 if total >= n_tests:
@@ -125,47 +128,73 @@ class OoklaSimulator:
 
     def _generate(self, n_tests: int) -> ColumnTable:
         users = self.generate_users(n_tests)
+        if not users:
+            return ColumnTable({name: [] for name in OOKLA_COLUMNS})
         rng = np.random.default_rng(self.seed + 1)
-        columns: dict[str, list] = {name: [] for name in OOKLA_COLUMNS}
-        test_index = 0
+        integers = rng.integers
+        draws = self.path.draws(self.profile, rng)
+        months: list[int] = []
         for user in users:
             # A user's repeated tests cluster within a couple of months --
             # people test while debugging a problem, not uniformly.
             anchor_month = sample_test_month(rng)
+            index = draws.add_user(user)
             for _ in range(user.n_tests):
-                month = anchor_month + int(rng.integers(-1, 2))
-                month = min(max(month, 1), 12)
-                hour = sample_test_hour(rng)
-                outcome = self.path.run_test(user, self.profile, hour, rng)
-                is_android = user.platform == "android"
-                is_web = user.platform == "web"
-                columns["test_id"].append(
-                    f"ookla-{self.city}-{test_index:08d}"
-                )
-                columns["user_id"].append(user.user_id)
-                columns["city"].append(self.city)
-                columns["isp"].append(self.catalog.isp_name)
-                columns["platform"].append(user.platform)
-                columns["origin"].append("web" if is_web else "native")
-                columns["access"].append(
-                    "unknown" if is_web else user.access
-                )
-                columns["download_mbps"].append(outcome.download_mbps)
-                columns["upload_mbps"].append(outcome.upload_mbps)
-                columns["latency_ms"].append(outcome.rtt_ms)
-                columns["month"].append(month)
-                columns["hour"].append(hour)
-                columns["wifi_band_ghz"].append(
-                    user.household.band_ghz if is_android else np.nan
-                )
-                columns["rssi_dbm"].append(
-                    outcome.conditions.rssi_dbm
-                    if is_android and outcome.conditions.rssi_dbm is not None
-                    else np.nan
-                )
-                columns["memory_gb"].append(
-                    user.memory_gb if is_android else np.nan
-                )
-                columns["true_tier"].append(user.tier)
-                test_index += 1
-        return ColumnTable(columns)
+                month = anchor_month + int(integers(-1, 2))
+                months.append(min(max(month, 1), 12))
+                draws.add(index, sample_test_hour(rng))
+        tests = self.path.compute(draws)
+        n = len(tests)
+        counts = [user.n_tests for user in users]
+
+        def per_user(values, dtype=None) -> np.ndarray:
+            return np.repeat(np.asarray(values, dtype=dtype), counts)
+
+        platforms = [user.platform for user in users]
+        is_android = [p == "android" for p in platforms]
+        return ColumnTable(
+            {
+                "test_id": np.array(
+                    [f"ookla-{self.city}-{i:08d}" for i in range(n)],
+                    dtype=object,
+                ),
+                "user_id": per_user([u.user_id for u in users], object),
+                "city": np.full(n, self.city, dtype=object),
+                "isp": np.full(n, self.catalog.isp_name, dtype=object),
+                "platform": per_user(platforms, object),
+                "origin": per_user(
+                    ["web" if p == "web" else "native" for p in platforms],
+                    object,
+                ),
+                "access": per_user(
+                    [
+                        "unknown" if u.platform == "web" else u.access
+                        for u in users
+                    ],
+                    object,
+                ),
+                "download_mbps": tests.download_mbps,
+                "upload_mbps": tests.upload_mbps,
+                "latency_ms": tests.rtt_ms,
+                "month": np.asarray(months),
+                "hour": tests.hour,
+                "wifi_band_ghz": per_user(
+                    [
+                        u.household.band_ghz if android else np.nan
+                        for u, android in zip(users, is_android)
+                    ],
+                    float,
+                ),
+                "rssi_dbm": np.where(
+                    per_user(is_android, bool), tests.rssi_dbm, np.nan
+                ),
+                "memory_gb": per_user(
+                    [
+                        u.memory_gb if android else np.nan
+                        for u, android in zip(users, is_android)
+                    ],
+                    float,
+                ),
+                "true_tier": per_user([u.tier for u in users]),
+            }
+        )

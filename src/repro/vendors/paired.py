@@ -58,32 +58,27 @@ def generate_paired_tests(
         seed=seed,
     )
     rng = np.random.default_rng(seed + 2)
-    columns: dict[str, list] = {
-        "user_id": [],
-        "city": [],
-        "true_tier": [],
-        "plan_download_mbps": [],
-        "plan_upload_mbps": [],
-        "hour": [],
-        "ookla_download_mbps": [],
-        "ookla_upload_mbps": [],
-        "mlab_download_mbps": [],
-        "mlab_upload_mbps": [],
-    }
+    ookla = ookla_path.draws(MULTI_FLOW_PROFILE, rng)
+    mlab = mlab_path.draws(SINGLE_FLOW_NDT_PROFILE, rng)
     for user in users:
         hour = sample_test_hour(rng)
-        ookla = ookla_path.run_test(user, MULTI_FLOW_PROFILE, hour, rng)
-        mlab = mlab_path.run_test(
-            user, SINGLE_FLOW_NDT_PROFILE, hour, rng
-        )
-        columns["user_id"].append(user.user_id)
-        columns["city"].append(city.upper())
-        columns["true_tier"].append(user.tier)
-        columns["plan_download_mbps"].append(user.plan.download_mbps)
-        columns["plan_upload_mbps"].append(user.plan.upload_mbps)
-        columns["hour"].append(hour)
-        columns["ookla_download_mbps"].append(ookla.download_mbps)
-        columns["ookla_upload_mbps"].append(ookla.upload_mbps)
-        columns["mlab_download_mbps"].append(mlab.download_mbps)
-        columns["mlab_upload_mbps"].append(mlab.upload_mbps)
-    return ColumnTable(columns)
+        ookla.add(ookla.add_user(user), hour)
+        mlab.add(mlab.add_user(user), hour)
+    ookla_tests = ookla_path.compute(ookla)
+    mlab_tests = mlab_path.compute(mlab)
+    return ColumnTable(
+        {
+            "user_id": np.array([u.user_id for u in users], dtype=object),
+            "city": np.full(len(users), city.upper(), dtype=object),
+            "true_tier": np.asarray([u.tier for u in users]),
+            "plan_download_mbps": np.asarray(
+                [u.plan.download_mbps for u in users]
+            ),
+            "plan_upload_mbps": np.asarray([u.plan.upload_mbps for u in users]),
+            "hour": ookla_tests.hour,
+            "ookla_download_mbps": ookla_tests.download_mbps,
+            "ookla_upload_mbps": ookla_tests.upload_mbps,
+            "mlab_download_mbps": mlab_tests.download_mbps,
+            "mlab_upload_mbps": mlab_tests.upload_mbps,
+        }
+    )

@@ -140,6 +140,14 @@ class TestGeneration:
     def test_negative_count_rejected(self, population):
         with pytest.raises(ValueError):
             population.generate_users(-1)
+        with pytest.raises(ValueError):
+            population.iter_users(-1)  # before the first user is asked for
+
+    def test_lazy_users_are_the_eager_ones(self, population):
+        eager = population.generate_users(40, seed=6)
+        lazy = population.iter_users(40, seed=6)
+        assert [next(lazy) for _ in range(15)] == eager[:15]
+        assert list(lazy) == eager[15:]
 
     def test_with_config_override(self, population):
         tweaked = population.with_config(band_5ghz_fraction=0.0)

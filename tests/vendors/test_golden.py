@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -24,7 +25,7 @@ import pytest
 
 from repro.frame import ColumnTable
 from repro.market import SubscriberPopulation, city_catalog, state_catalog
-from repro.market.population import PopulationConfig
+from repro.market.population import PopulationConfig, default_city_config
 from repro.netsim.path import WIRED_PANEL_PROFILE, PathSimulator
 from repro.vendors import MBASimulator, MLabSimulator, OoklaSimulator
 from repro.vendors.paired import generate_paired_tests
@@ -38,6 +39,11 @@ N_MBA_TESTS = 200
 N_MLAB_SESSIONS = 200
 N_PAIRED_USERS = 150
 N_MODEM_USERS = 150
+# The paper_pipeline benchmark's size per city and per panel.
+N_PIPELINE_TESTS = 10_000
+# With no heavy users a subscriber runs 1-3 tests, so this many tests
+# need a second population batch on seed 0.
+N_TWO_BATCH_TESTS = 300
 
 
 def column_digest(values: np.ndarray) -> str:
@@ -77,6 +83,12 @@ def _modem_panel(seed: int) -> ColumnTable:
     )
 
 
+def _two_batch_ookla() -> ColumnTable:
+    """Ookla tests whose users come from two population batches."""
+    config = replace(default_city_config("A", "ookla"), heavy_user_fraction=0.0)
+    return OoklaSimulator("A", config=config, seed=0).generate(N_TWO_BATCH_TESTS)
+
+
 def _cases() -> dict[str, Callable[[], ColumnTable]]:
     cases: dict[str, Callable[[], ColumnTable]] = {}
     for seed in SEEDS:
@@ -100,6 +112,17 @@ def _cases() -> dict[str, Callable[[], ColumnTable]]:
             "A", N_PAIRED_USERS, seed=s
         )
         cases[f"modem-panel-A-seed{seed}"] = lambda s=seed: _modem_panel(s)
+    # Pipeline scale, lazily built users, and empty tables (whose column
+    # digests pin the dtypes).
+    cases["ookla-A-seed0-n10000"] = lambda: OoklaSimulator("A", seed=0).generate(
+        N_PIPELINE_TESTS
+    )
+    cases["mba-A-seed0-n10000"] = lambda: MBASimulator("A", seed=0).generate(
+        N_PIPELINE_TESTS
+    )
+    cases["ookla-A-seed0-two-batches"] = _two_batch_ookla
+    cases["ookla-A-seed0-empty"] = lambda: OoklaSimulator("A", seed=0).generate(0)
+    cases["mba-A-seed0-empty"] = lambda: MBASimulator("A", seed=0).generate(0)
     return cases
 
 
