@@ -59,7 +59,7 @@ class BSTConfig:
     kde_grid_points: int = 512
     kde_log_space: bool = True
     kde_method: str = "auto"
-    gmm_max_iter: int = 200
+    gmm_max_iter: int = 1000
     gmm_tol: float = 1e-6
     upload_mean_prior: float = 0.2
     clustering: str = "gmm"

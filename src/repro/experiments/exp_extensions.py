@@ -50,18 +50,20 @@ def run_ext_modem(
     plan = city_catalog("A").plan_for_tier(6)
     n = {"small": 300, "medium": 1200, "large": 4000}[scale.value]
     results: dict[bool, np.ndarray] = {}
+    users = [
+        Subscriber(
+            f"ext-modem-u{i}",
+            Household(f"ext-modem-h{i}", "A", 6, plan, -40.0, 5.0),
+            "desktop-ethernet", "ethernet", 16.0, 1,
+        )
+        for i in range(n)
+    ]
     for modems in (False, True):
         sim = PathSimulator(seed=seed, model_modems=modems)
-        draws = sim.draws(WIRED_PANEL_PROFILE, np.random.default_rng(seed + 5))
-        for i in range(n):
-            household = Household(
-                f"ext-modem-h{i}", "A", 6, plan, -40.0, 5.0
-            )
-            user = Subscriber(
-                f"ext-modem-u{i}", household, "desktop-ethernet",
-                "ethernet", 16.0, 1,
-            )
-            draws.add(draws.add_user(user), 3)
+        draws = sim.draw(
+            WIRED_PANEL_PROFILE, users, np.arange(n), np.full(n, 3),
+            np.random.default_rng(seed + 5),
+        )
         results[modems] = sim.compute(draws).download_mbps
     rows = []
     metrics: dict[str, float] = {}

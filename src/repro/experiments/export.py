@@ -11,17 +11,31 @@ With ``ledger`` set, every experiment additionally appends a
 the experiment's headline metrics, span table, and quality report) to
 the given run ledger -- the per-experiment provenance trail ``repro obs
 check`` compares against.
+
+``scorecard`` reads ``metrics.csv`` files back -- one per seed -- and
+scores every metric the paper reports a value for by its relative error.
+``results/scorecard.csv`` is its table for seeds 0-9 at medium scale::
+
+    for s in 0 1 2 3 4 5 6 7 8 9; do
+        repro report-all --scale medium --seed $s --out-dir runs/s$s
+    done
+    PYTHONPATH=src python -m repro.experiments.export \\
+        results/scorecard.csv runs/s*/metrics.csv
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from repro.experiments.base import ExperimentResult, Scale
 from repro.experiments.registry import REGISTRY, run_experiment
-from repro.frame import ColumnTable, write_csv
+from repro.frame import ColumnTable, read_csv, write_csv
 
-__all__ = ["export_all"]
+__all__ = ["export_all", "scorecard"]
 
 
 def export_all(
@@ -112,3 +126,61 @@ def _run_with_manifest(
     )
     RunLedger(ledger).append(manifest)
     return result
+
+
+def scorecard(
+    metrics_csvs: Sequence[str | Path],
+) -> tuple[ColumnTable, dict[str, np.ndarray]]:
+    """Relative error of every paper-paired metric, per ``metrics.csv``.
+
+    Each file is one run of :func:`export_all` (one seed).  A metric is
+    paper-paired when its ``paper`` cell is filled; its relative error
+    is ``|measured - paper| / |paper|``.  Returns the per-metric table
+    -- ``experiment``, ``metric``, ``paper``, one ``seed<i>`` column per
+    file (in the given order) and their ``median`` -- and three
+    aggregates, each an array with one entry per file:
+    ``median_rel_error``, ``within_10`` and ``within_25`` (the count of
+    metrics within 10% and 25% of the paper).  Every file must pair the
+    same metrics with the same paper values.
+    """
+    if not metrics_csvs:
+        raise ValueError("a scorecard needs at least one metrics.csv")
+    key = None
+    errors = []
+    for path in metrics_csvs:
+        table = read_csv(path)
+        paired = ~np.isnan(np.asarray(table["paper"], dtype=float))
+        rows = (
+            table["experiment"][paired].tolist(),
+            table["metric"][paired].tolist(),
+            np.asarray(table["paper"], dtype=float)[paired].tolist(),
+        )
+        if key is None:
+            key = rows
+        elif rows != key:
+            raise ValueError(f"{path} pairs other metrics than the first file")
+        paper = np.asarray(rows[2])
+        measured = np.asarray(table["measured"], dtype=float)[paired]
+        errors.append(np.abs(measured - paper) / np.abs(paper))
+    errors = np.asarray(errors)
+    columns = {"experiment": key[0], "metric": key[1], "paper": key[2]}
+    for i, column in enumerate(errors):
+        columns[f"seed{i}"] = column
+    columns["median"] = np.median(errors, axis=0)
+    aggregates = {
+        "median_rel_error": np.median(errors, axis=1),
+        "within_10": (errors <= 0.10).sum(axis=1),
+        "within_25": (errors <= 0.25).sum(axis=1),
+    }
+    return ColumnTable(columns), aggregates
+
+
+if __name__ == "__main__":
+    out, *inputs = sys.argv[1:]
+    card, totals = scorecard(inputs)
+    write_csv(card, out)
+    for name, values in totals.items():
+        print(
+            f"{name}: mean {values.mean():.4f} sd {values.std(ddof=1):.4f} "
+            f"per file {np.round(values, 4).tolist()}"
+        )

@@ -7,12 +7,11 @@ and the TCP methodology of the vendor (flow count, window, whether the
 ramp-up is discarded) -- degraded by the fixed-duration saturation
 shortfall and small measurement noise.
 
-A run of tests has two phases.  :class:`TestDraws` makes each test's
-random draws -- and only those -- one scalar ``rng`` call at a time, in
-a fixed order.  No draw depends on a computed throughput, so
+A run of tests has two phases.  :meth:`PathSimulator.draw` makes the
+run's random draws -- and only those -- one ``rng`` call per column
+(:class:`TestDraws`).  No draw depends on a computed throughput, so
 :meth:`PathSimulator.compute` can then turn every test's draws into
-speeds in one numpy pass.  :meth:`PathSimulator.run_test` is the same
-two phases for one test.
+speeds in one numpy pass.
 
 This is the module the vendor simulators (:mod:`repro.vendors`) call; it
 is deliberately vendor-agnostic, parameterised by a :class:`FlowProfile`.
@@ -173,120 +172,37 @@ class UserPath(NamedTuple):
     upload_cap_mbps: float
 
 
+@dataclass(frozen=True)
 class TestDraws:
-    """The random draws of a run of tests, in the order they are made.
+    """The random draws of a run of tests: one array entry per test.
 
-    :meth:`add` makes exactly the scalar ``rng`` calls of one test -- its
-    conditions, then its download, then its upload -- and appends the
-    raw values to flat lists, one entry per test.  Where a wired test
-    draws nothing, a neutral value stands in (an extra delay of 0, a
-    factor of 1).  The calls stay scalar and in this order, so every
-    number drawn is the same whether a run has one test or a million;
-    :meth:`PathSimulator.compute` then does all of the arithmetic.
-
-    ``profile`` may be ``None`` when only :meth:`conditions` is drawn.
+    Test ``i`` is a test of ``paths[user[i]]`` at local ``hour[i]``.
+    :meth:`PathSimulator.draw` makes each column in one ``rng`` call for
+    the whole run, in field order.  A column that only WiFi tests use
+    (RSSI noise, contention, the extra delay and loss, cross traffic) is
+    drawn for the WiFi tests alone, and one that only consumer profiles
+    use (client efficiency, the upstream crush) only for those; the
+    other tests hold a neutral value (an extra or a noise of 0, a factor
+    of 1).  :meth:`PathSimulator.compute` then does all of the
+    arithmetic.
     """
 
-    def __init__(
-        self,
-        sim: "PathSimulator",
-        profile: FlowProfile | None,
-        rng: np.random.Generator,
-    ):
-        self.sim = sim
-        self.profile = profile
-        self._normal = rng.normal
-        self._uniform = rng.uniform
-        self._random = rng.random
-        self._exponential = rng.exponential
-        if profile is not None:
-            self._consumer = profile.client_efficiency_sigma > 0
-            self._upstream_p = sim._upstream_contention_prob(profile)
-        self.paths: list[UserPath] = []
-        # One entry per test.
-        self.user: list[int] = []
-        self.hour: list[int] = []
-        self.rssi_noise: list[float] = []
-        self.contention: list[float] = []
-        self.log_rtt: list[float] = []
-        self.rtt_extra: list[float] = []
-        self.log_loss: list[float] = []
-        self.loss_extra: list[float] = []
-        self.tod_noise: list[float] = []
-        self.cross_traffic: list[float] = []
-        self.client_noise: list[float] = []  # consumer profiles only
-        self.download_noise: list[float] = []
-        self.upstream_factor: list[float] = []  # consumer profiles only
-        self.upload_noise: list[float] = []
-
-    def add_user(self, subscriber: Subscriber) -> int:
-        """Register a subscriber; its tests are drawn by the returned id."""
-        self.paths.append(self.sim.user_path(subscriber))
-        return len(self.paths) - 1
-
-    def add(self, user: int, hour: int) -> int:
-        """Draw one full test of ``user`` at local ``hour``; its index."""
-        self.conditions(user, hour)
-        self.download()
-        self.upload()
-        return len(self.user) - 1
-
-    def conditions(self, user: int, hour: int) -> None:
-        """The per-test environment: WiFi, RTT, loss, time of day."""
-        if not 0 <= hour <= 23:
-            raise ValueError(f"hour must be 0-23, got {hour}")
-        path = self.paths[user]
-        wifi = path.on_wifi
-        normal, uniform = self._normal, self._uniform
-        latency = self.sim.latency_model
-        self.user.append(user)
-        self.hour.append(hour)
-        self.rssi_noise.append(
-            normal(0.0, _RSSI_NOISE_SIGMA_DB) if wifi else 0.0
-        )
-        self.contention.append(
-            uniform(*path.contention_range) if wifi else 1.0
-        )
-        self.log_rtt.append(
-            normal(latency.log_median_rtt, latency.rtt_sigma)
-        )
-        self.rtt_extra.append(uniform(*path.rtt_range_ms) if wifi else 0.0)
-        self.log_loss.append(
-            normal(latency.log_median_loss, latency.loss_sigma)
-        )
-        self.loss_extra.append(
-            uniform(0.0, latency.wifi_extra_loss) if wifi else 0.0
-        )
-        self.tod_noise.append(normal(0.0, TIMEOFDAY_NOISE_SIGMA))
-        self.cross_traffic.append(
-            self._exponential(self.sim.cross_traffic_scale_mbps)
-            if wifi
-            else 0.0
-        )
-
-    def download(self) -> None:
-        """The download's client-efficiency and noise draws."""
-        if self._consumer:
-            self.client_noise.append(
-                self._normal(
-                    _CLIENT_EFFICIENCY_LOC, self.profile.client_efficiency_sigma
-                )
-            )
-        self.download_noise.append(
-            self._normal(0.0, self.sim.download_noise_sigma)
-        )
-
-    def upload(self) -> None:
-        """The upload's competing-flow and noise draws."""
-        if self._consumer:
-            self.upstream_factor.append(
-                self._uniform(*_UPSTREAM_CRUSH_RANGE)
-                if self._random() < self._upstream_p
-                else 1.0
-            )
-        self.upload_noise.append(
-            self._normal(0.0, self.sim.upload_noise_sigma)
-        )
+    profile: FlowProfile
+    paths: list[UserPath]
+    user: np.ndarray
+    hour: np.ndarray
+    rssi_noise: np.ndarray
+    contention: np.ndarray
+    log_rtt: np.ndarray
+    rtt_extra: np.ndarray
+    log_loss: np.ndarray
+    loss_extra: np.ndarray
+    tod_noise: np.ndarray
+    cross_traffic: np.ndarray
+    client_noise: np.ndarray
+    download_noise: np.ndarray
+    upstream_factor: np.ndarray
+    upload_noise: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -306,24 +222,6 @@ class TestResults:
     cross_traffic_mbps: np.ndarray
     download_mbps: np.ndarray | None = None
     upload_mbps: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, conditions: TestConditions, on_wifi: bool) -> "TestResults":
-        """A run of one test with the given conditions, no speeds."""
-
-        def column(value) -> np.ndarray:
-            return np.asarray([np.nan if value is None else value], float)
-
-        return cls(
-            hour=np.asarray([conditions.hour], dtype=np.int64),
-            on_wifi=np.asarray([on_wifi]),
-            rtt_ms=column(conditions.rtt_ms),
-            loss_rate=column(conditions.loss_rate),
-            tod_factor=column(conditions.tod_factor),
-            rssi_dbm=column(conditions.rssi_dbm),
-            contention_factor=column(conditions.contention_factor),
-            cross_traffic_mbps=column(conditions.cross_traffic_mbps),
-        )
 
     def __len__(self) -> int:
         return len(self.hour)
@@ -456,11 +354,73 @@ class PathSimulator:
             upload_cap_mbps=min(upload),
         )
 
-    def draws(
-        self, profile: FlowProfile, rng: np.random.Generator
+    def draw(
+        self,
+        profile: FlowProfile,
+        subscribers: list[Subscriber],
+        user: np.ndarray,
+        hour: np.ndarray,
+        rng: np.random.Generator,
     ) -> TestDraws:
-        """An empty run of ``profile`` tests drawing from ``rng``."""
-        return TestDraws(self, profile, rng)
+        """Draw a run of ``profile`` tests: test ``i`` is one of
+        ``subscribers[user[i]]`` at local ``hour[i]``."""
+        user = np.asarray(user, dtype=np.intp)
+        hour = np.asarray(hour, dtype=np.int64)
+        if user.shape != hour.shape or user.ndim != 1:
+            raise ValueError("user and hour must be equal-length 1-D arrays")
+        if ((hour < 0) | (hour > 23)).any():
+            raise ValueError("hours must be 0-23")
+        paths = [self.user_path(subscriber) for subscriber in subscribers]
+        n = len(user)
+        wifi = np.array([p.on_wifi for p in paths], dtype=bool)[user]
+        on = user[wifi]
+        k = len(on)
+
+        def per_wifi_test(values, neutral: float) -> np.ndarray:
+            column = np.full(n, neutral)
+            column[wifi] = values
+            return column
+
+        def path_range(field: str) -> tuple[np.ndarray, np.ndarray]:
+            bounds = np.array(
+                [getattr(p, field) for p in paths], dtype=float
+            ).reshape(-1, 2)
+            return bounds[on, 0], bounds[on, 1]
+
+        latency = self.latency_model
+        consumer = profile.client_efficiency_sigma > 0
+        rssi_noise = per_wifi_test(rng.normal(0.0, _RSSI_NOISE_SIGMA_DB, k), 0.0)
+        contention = per_wifi_test(
+            rng.uniform(*path_range("contention_range")), 1.0
+        )
+        log_rtt = rng.normal(latency.log_median_rtt, latency.rtt_sigma, n)
+        rtt_extra = per_wifi_test(rng.uniform(*path_range("rtt_range_ms")), 0.0)
+        log_loss = rng.normal(latency.log_median_loss, latency.loss_sigma, n)
+        loss_extra = per_wifi_test(
+            rng.uniform(0.0, latency.wifi_extra_loss, k), 0.0
+        )
+        tod_noise = rng.normal(0.0, TIMEOFDAY_NOISE_SIGMA, n)
+        cross_traffic = per_wifi_test(
+            rng.exponential(self.cross_traffic_scale_mbps, k), 0.0
+        )
+        client_noise = (
+            rng.normal(_CLIENT_EFFICIENCY_LOC, profile.client_efficiency_sigma, n)
+            if consumer
+            else np.zeros(n)
+        )
+        download_noise = rng.normal(0.0, self.download_noise_sigma, n)
+        upstream_factor = np.ones(n)
+        if consumer:
+            crushed = rng.random(n) < self._upstream_contention_prob(profile)
+            upstream_factor[crushed] = rng.uniform(
+                *_UPSTREAM_CRUSH_RANGE, int(crushed.sum())
+            )
+        upload_noise = rng.normal(0.0, self.upload_noise_sigma, n)
+        return TestDraws(
+            profile, paths, user, hour, rssi_noise, contention, log_rtt,
+            rtt_extra, log_loss, loss_extra, tod_noise, cross_traffic,
+            client_noise, download_noise, upstream_factor, upload_noise,
+        )
 
     # ------------------------------------------------------------------
     def compute(self, draws: TestDraws) -> TestResults:
@@ -593,47 +553,3 @@ class PathSimulator:
         noise = draws.download_noise if download else draws.upload_noise
         measured = measured * np.exp(np.asarray(noise, dtype=float))
         return np.maximum(measured, _RESULT_FLOOR_MBPS)
-
-    # ------------------------------------------------------------------
-    def sample_conditions(
-        self,
-        subscriber: Subscriber,
-        hour: int,
-        rng: np.random.Generator,
-    ) -> TestConditions:
-        """Sample the per-test environment for one measurement."""
-        draws = TestDraws(self, None, rng)
-        draws.conditions(draws.add_user(subscriber), hour)
-        return self._conditions(draws).conditions(0)
-
-    def simulate_direction(
-        self,
-        subscriber: Subscriber,
-        profile: FlowProfile,
-        conditions: TestConditions,
-        rng: np.random.Generator,
-        direction: str,
-    ) -> float:
-        """Reported throughput for one direction of one test whose
-        conditions are already sampled."""
-        if direction not in ("download", "upload"):
-            raise ValueError(f"unknown direction {direction!r}")
-        draws = self.draws(profile, rng)
-        user = draws.add_user(subscriber)
-        draws.user.append(user)
-        getattr(draws, direction)()
-        given = TestResults.of(conditions, draws.paths[user].on_wifi)
-        measured = self._direction_mbps(draws, given, direction)
-        return float(measured[0])
-
-    def run_test(
-        self,
-        subscriber: Subscriber,
-        profile: FlowProfile,
-        hour: int,
-        rng: np.random.Generator,
-    ) -> TestOutcome:
-        """Run one full (download + upload) simulated speed test."""
-        draws = self.draws(profile, rng)
-        draws.add(draws.add_user(subscriber), hour)
-        return self.compute(draws).outcome(0)

@@ -89,7 +89,10 @@ class GaussianMixture:
     n_components:
         Number of mixture components.
     max_iter:
-        EM iteration cap.
+        EM iteration cap.  Slow fits of the simulated data need up to
+        ~300 iterations to meet ``tol``; the cap sits well above that, so
+        reaching it (``em.unconverged``) means EM is not converging, not
+        that it was cut short.
     tol:
         Relative convergence tolerance on the total log-likelihood: EM
         stops once ``|ll - prev_ll| < tol * max(1, |ll|)``, where ``ll``
@@ -124,7 +127,7 @@ class GaussianMixture:
     def __init__(
         self,
         n_components: int,
-        max_iter: int = 200,
+        max_iter: int = 1000,
         tol: float = 1e-6,
         var_floor_frac: float = 1e-6,
         seed: int | None = 0,

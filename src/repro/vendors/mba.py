@@ -172,19 +172,16 @@ class MBASimulator:
         total = total_default if n_tests is None else min(n_tests, 10**9)
         if total <= 0:
             return ColumnTable({name: [] for name in MBA_COLUMNS})
-        integers = rng.integers
-        draws = self.path.draws(self.profile, rng)
-        ids = [draws.add_user(unit) for unit in units]
-        n_months = len(MBA_MONTHS)
-        months: list[int] = []
         # Round-robin units through day slots so every unit contributes
         # evenly, as a managed panel does: test k is unit k mod len(units).
-        for k in range(total):
-            months.append(MBA_MONTHS[int(integers(0, n_months))])
-            hour = int(integers(0, 24))  # panels test around the clock
-            draws.add(ids[k % len(ids)], hour)
-        tests = self.path.compute(draws)
         unit_of_test = np.arange(total) % len(units)
+        months = np.asarray(MBA_MONTHS)[
+            rng.integers(0, len(MBA_MONTHS), total)
+        ]
+        hours = rng.integers(0, 24, total)  # panels test around the clock
+        tests = self.path.compute(
+            self.path.draw(self.profile, units, unit_of_test, hours, rng)
+        )
         return ColumnTable(
             {
                 "unit_id": np.array(
@@ -194,7 +191,7 @@ class MBASimulator:
                 "isp": np.full(total, self.catalog.isp_name, dtype=object),
                 "download_mbps": tests.download_mbps,
                 "upload_mbps": tests.upload_mbps,
-                "month": np.asarray(months),
+                "month": months,
                 "hour": tests.hour,
                 "tier": np.asarray([unit.tier for unit in units])[
                     unit_of_test

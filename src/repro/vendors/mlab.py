@@ -121,77 +121,75 @@ class MLabSimulator:
         )
         if not users:
             return ColumnTable({name: [] for name in MLAB_COLUMNS})
-        integers = rng.integers
-        draws = self.path.draws(self.profile, rng)
-        ids = [draws.add_user(user) for user in users]
-        # One entry per record: (test, direction, timestamp, month, hour,
-        # server_ip, user).
-        records: list[tuple] = []
-        for session_index in range(n_sessions):
-            user = session_index % len(users)
-            month = sample_test_month(rng)
-            hour = sample_test_hour(rng)
-            day_of_year = (month - 1) * 30 + int(integers(0, 28))
-            timestamp = float(
-                day_of_year * _SECONDS_PER_DAY
-                + hour * 3600
-                + integers(0, 3600)
+        n = n_sessions
+        user = np.arange(n) % len(users)
+        month = sample_test_month(rng, n)
+        hour = sample_test_hour(rng, n)
+        day_of_year = (month - 1) * 30 + rng.integers(0, 28, n)
+        timestamp = (
+            day_of_year * _SECONDS_PER_DAY
+            + hour * 3600
+            + rng.integers(0, 3600, n)
+        ).astype(float)
+        # NDT routes a session to one nearby server; both directions of a
+        # visit hit the same server, which is what makes the
+        # same-client/same-server join of Section 3.2 work.
+        server = rng.integers(1, 16, n)
+        followup = np.flatnonzero(rng.random(n) < self.upload_followup_prob)
+        delay = rng.uniform(5.0, 90.0, len(followup))
+        # A second upload far outside the window -- the join must prefer
+        # the earliest in-window candidate and ignore this.  It is a test
+        # of its own, drawn after every session's test.
+        stray = np.flatnonzero(rng.random(n) < self.stray_upload_prob)
+        stray_delay = rng.uniform(200.0, 3000.0, len(stray))
+        tests = self.path.compute(
+            self.path.draw(
+                self.profile,
+                users,
+                np.concatenate([user, user[stray]]),
+                np.concatenate([hour, hour[stray]]),
+                rng,
             )
-            # NDT routes a session to one nearby server; both directions
-            # of a visit hit the same server, which is what makes the
-            # same-client/same-server join of Section 3.2 work.
-            server_ip = f"203.0.113.{int(integers(1, 16))}"
-            test = draws.add(ids[user], hour)
-            records.append(
-                (test, "download", timestamp, month, hour, server_ip, user)
-            )
-            if rng.random() < self.upload_followup_prob:
-                delay = float(rng.uniform(5.0, 90.0))
-                records.append(
-                    (test, "upload", timestamp + delay, month, hour,
-                     server_ip, user)
-                )
-            if rng.random() < self.stray_upload_prob:
-                # A second upload far outside the window -- the join must
-                # prefer the earliest in-window candidate and ignore this.
-                stray = draws.add(ids[user], hour)
-                records.append(
-                    (stray, "upload",
-                     timestamp + float(rng.uniform(200.0, 3000.0)),
-                     month, hour, server_ip, user)
-                )
-        tests = self.path.compute(draws)
-        test, direction, timestamp, month, hour, server_ip, user = (
-            list(column) for column in zip(*records)
         )
-        test = np.asarray(test)
-        user = np.asarray(user)
-        direction = np.array(direction, dtype=object)
-        n = len(records)
+        # Records session by session: the download, its upload, a stray.
+        session = np.concatenate([np.arange(n), followup, stray])
+        kind = np.repeat([0, 1, 2], [n, len(followup), len(stray)])
+        test = np.concatenate([np.arange(n), followup, n + np.arange(len(stray))])
+        offset = np.concatenate([np.zeros(n), delay, stray_delay])
+        order = np.lexsort((kind, session))
+        session, kind, test, offset = (
+            column[order] for column in (session, kind, test, offset)
+        )
+        is_download = kind == 0
+        records = len(session)
         return ColumnTable(
             {
                 "test_id": np.array(
-                    [f"ndt-{self.city}-{i:08d}" for i in range(n)],
+                    [f"ndt-{self.city}-{i:08d}" for i in range(records)],
                     dtype=object,
                 ),
                 "client_ip": np.array(
                     [_client_ip(u.user_id) for u in users], dtype=object
-                )[user],
-                "server_ip": np.array(server_ip, dtype=object),
-                "asn": np.full(n, _asn_for_isp(self.catalog.isp_name)),
-                "city": np.full(n, self.city, dtype=object),
-                "isp": np.full(n, self.catalog.isp_name, dtype=object),
-                "direction": direction,
+                )[user[session]],
+                "server_ip": np.array(
+                    [f"203.0.113.{k}" for k in range(16)], dtype=object
+                )[server[session]],
+                "asn": np.full(records, _asn_for_isp(self.catalog.isp_name)),
+                "city": np.full(records, self.city, dtype=object),
+                "isp": np.full(records, self.catalog.isp_name, dtype=object),
+                "direction": np.where(is_download, "download", "upload").astype(
+                    object
+                ),
                 "speed_mbps": np.where(
-                    direction == "download",
+                    is_download,
                     tests.download_mbps[test],
                     tests.upload_mbps[test],
                 ),
                 "rtt_ms": tests.rtt_ms[test],
-                "timestamp_s": np.asarray(timestamp),
-                "month": np.asarray(month),
-                "hour": np.asarray(hour),
-                "true_tier": np.asarray([u.tier for u in users])[user],
+                "timestamp_s": timestamp[session] + offset,
+                "month": month[session],
+                "hour": hour[session],
+                "true_tier": np.asarray([u.tier for u in users])[user[session]],
             }
         )
 

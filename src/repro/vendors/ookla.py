@@ -131,21 +131,19 @@ class OoklaSimulator:
         if not users:
             return ColumnTable({name: [] for name in OOKLA_COLUMNS})
         rng = np.random.default_rng(self.seed + 1)
-        integers = rng.integers
-        draws = self.path.draws(self.profile, rng)
-        months: list[int] = []
-        for user in users:
-            # A user's repeated tests cluster within a couple of months --
-            # people test while debugging a problem, not uniformly.
-            anchor_month = sample_test_month(rng)
-            index = draws.add_user(user)
-            for _ in range(user.n_tests):
-                month = anchor_month + int(integers(-1, 2))
-                months.append(min(max(month, 1), 12))
-                draws.add(index, sample_test_hour(rng))
-        tests = self.path.compute(draws)
-        n = len(tests)
         counts = [user.n_tests for user in users]
+        user_of_test = np.repeat(np.arange(len(users)), counts)
+        n = len(user_of_test)
+        # A user's repeated tests cluster within a couple of months --
+        # people test while debugging a problem, not uniformly.
+        anchor_month = sample_test_month(rng, len(users))
+        months = np.clip(
+            anchor_month[user_of_test] + rng.integers(-1, 2, n), 1, 12
+        )
+        hours = sample_test_hour(rng, n)
+        tests = self.path.compute(
+            self.path.draw(self.profile, users, user_of_test, hours, rng)
+        )
 
         def per_user(values, dtype=None) -> np.ndarray:
             return np.repeat(np.asarray(values, dtype=dtype), counts)
@@ -176,7 +174,7 @@ class OoklaSimulator:
                 "download_mbps": tests.download_mbps,
                 "upload_mbps": tests.upload_mbps,
                 "latency_ms": tests.rtt_ms,
-                "month": np.asarray(months),
+                "month": months,
                 "hour": tests.hour,
                 "wifi_band_ghz": per_user(
                     [

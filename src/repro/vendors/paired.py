@@ -58,14 +58,14 @@ def generate_paired_tests(
         seed=seed,
     )
     rng = np.random.default_rng(seed + 2)
-    ookla = ookla_path.draws(MULTI_FLOW_PROFILE, rng)
-    mlab = mlab_path.draws(SINGLE_FLOW_NDT_PROFILE, rng)
-    for user in users:
-        hour = sample_test_hour(rng)
-        ookla.add(ookla.add_user(user), hour)
-        mlab.add(mlab.add_user(user), hour)
-    ookla_tests = ookla_path.compute(ookla)
-    mlab_tests = mlab_path.compute(mlab)
+    index = np.arange(len(users))
+    hours = sample_test_hour(rng, len(users))
+    ookla_tests = ookla_path.compute(
+        ookla_path.draw(MULTI_FLOW_PROFILE, users, index, hours, rng)
+    )
+    mlab_tests = mlab_path.compute(
+        mlab_path.draw(SINGLE_FLOW_NDT_PROFILE, users, index, hours, rng)
+    )
     return ColumnTable(
         {
             "user_id": np.array([u.user_id for u in users], dtype=object),

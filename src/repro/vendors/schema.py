@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.market.population import categorical_cdf, sample_index
+from repro.market.population import categorical_cdf
 
 __all__ = [
     "OOKLA_COLUMNS",
@@ -74,21 +74,25 @@ MBA_COLUMNS = (
 )
 
 
-def sample_test_hour(rng: np.random.Generator) -> int:
-    """Sample a local test hour from the diurnal profile of Figure 11."""
-    bin_index = sample_index(_DIURNAL_CDF, rng)
-    return bin_index * 6 + int(rng.integers(0, 6))
+def sample_test_hour(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Sample ``size`` local test hours from the diurnal profile of
+    Figure 11: every 6-hour bin in one ``rng`` call, then every hour
+    within its bin in another."""
+    bins = _DIURNAL_CDF.searchsorted(rng.random(size), side="right")
+    return bins * 6 + rng.integers(0, 6, size)
 
 
 def sample_test_month(
     rng: np.random.Generator,
+    size: int,
     excluded_months: tuple[int, ...] = (),
-) -> int:
-    """Sample a month 1-12 uniformly, skipping ``excluded_months``.
+) -> np.ndarray:
+    """Sample ``size`` months 1-12 uniformly in one ``rng`` call,
+    skipping ``excluded_months``.
 
     The MBA 2021 release lacks September and October (Section 3).
     """
     allowed = [m for m in range(1, 13) if m not in excluded_months]
     if not allowed:
         raise ValueError("every month excluded")
-    return allowed[int(rng.integers(0, len(allowed)))]
+    return np.asarray(allowed)[rng.integers(0, len(allowed), size)]

@@ -17,12 +17,11 @@ SEED = 0
 _results: dict[str, ExperimentResult] = {}
 
 
-def result_for(experiment_id: str) -> ExperimentResult:
-    if experiment_id not in _results:
-        _results[experiment_id] = run_experiment(
-            experiment_id, scale=SCALE, seed=SEED
-        )
-    return _results[experiment_id]
+def result_for(experiment_id: str, scale: Scale = SCALE) -> ExperimentResult:
+    key = f"{experiment_id}@{scale.value}"
+    if key not in _results:
+        _results[key] = run_experiment(experiment_id, scale=scale, seed=SEED)
+    return _results[key]
 
 
 class TestRegistry:
@@ -115,12 +114,14 @@ class TestFig9and10:
         assert m["ethernet_median"] > m["wifi_median"] * 1.5
 
     def test_band_ordering(self):
-        # Strict ordering only: at SMALL scale the 2.4 GHz cell holds
-        # <100 Android tests and within-group tier reassignment (a
-        # degraded Tier-2/3 download mapping to the Tier-1 plan, which
-        # the paper's method shares) inflates its normalised values.
-        # The MEDIUM-scale bench asserts the full >2x gap.
-        m = result_for("fig9").metrics
+        # Strict ordering only; the MEDIUM-scale bench asserts the full
+        # >2x gap.  At SMALL scale the 2.4 GHz cell holds <100 Android
+        # tests, and within-group tier reassignment (a degraded Tier-2/3
+        # download mapping to the Tier-1 plan, which the paper's method
+        # shares) splits them into two modes with the median between
+        # them: on seed 0's SMALL population most per-test draw streams
+        # reverse the ordering.  At MEDIUM it holds on seeds 0-9.
+        m = result_for("fig9", Scale.MEDIUM).metrics
         assert m["band5_median"] > m["band24_median"]
 
     def test_rssi_extremes_ordered(self):
@@ -132,7 +133,9 @@ class TestFig9and10:
         assert m["mem_lt2_median"] < m["mem_gt6_median"]
 
     def test_bottleneck_split(self):
-        m = result_for("fig10").metrics
+        # At SMALL scale the ratio fails on some seeds in 0-9: the
+        # Local-bottleneck cell shares the 2.4 GHz cell's two modes.
+        m = result_for("fig10", Scale.MEDIUM).metrics
         assert m["best_median"] > m["bottleneck_median"] * 1.8
         assert 0.5 < m["bottleneck_share"] < 0.85
 

@@ -1,10 +1,15 @@
 """Tests for the report-export module."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.experiments import Scale
-from repro.experiments.export import export_all
-from repro.frame import read_csv
+from repro.experiments.export import export_all, scorecard
+from repro.frame import ColumnTable, read_csv, write_csv
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 def test_export_subset(tmp_path):
@@ -49,3 +54,65 @@ def test_cli_report_all(tmp_path, capsys):
     )
     assert code == 0
     assert "exported 1" in capsys.readouterr().out
+
+
+def _metrics_file(path, measured):
+    write_csv(
+        ColumnTable(
+            {
+                "experiment": ["fig1", "fig1", "tab2"],
+                "metric": ["a", "b", "c"],
+                "measured": measured,
+                "paper": [10.0, float("nan"), 0.5],
+            }
+        ),
+        path,
+    )
+    return path
+
+
+class TestScorecard:
+    def test_relative_errors_and_aggregates(self, tmp_path):
+        files = [
+            _metrics_file(tmp_path / "s0.csv", [11.0, 3.0, 0.5]),
+            _metrics_file(tmp_path / "s1.csv", [7.0, 4.0, 0.5625]),
+        ]
+        card, aggregates = scorecard(files)
+        assert card.column_names == [
+            "experiment", "metric", "paper", "seed0", "seed1", "median",
+        ]
+        # Only paper-paired metrics are scored.
+        assert card["metric"].tolist() == ["a", "c"]
+        np.testing.assert_allclose(card["seed0"], [0.1, 0.0])
+        np.testing.assert_allclose(card["seed1"], [0.3, 0.125])
+        np.testing.assert_allclose(card["median"], [0.2, 0.0625])
+        np.testing.assert_allclose(
+            aggregates["median_rel_error"], [0.05, 0.2125]
+        )
+        # Within is inclusive: an error of exactly 10% counts.
+        assert aggregates["within_10"].tolist() == [2, 0]
+        assert aggregates["within_25"].tolist() == [2, 1]
+
+    def test_files_must_pair_the_same_metrics(self, tmp_path):
+        first = _metrics_file(tmp_path / "s0.csv", [11.0, 3.0, 0.5])
+        other = tmp_path / "s1.csv"
+        table = read_csv(first)
+        write_csv(
+            ColumnTable(
+                {**{n: table[n] for n in table.column_names},
+                 "paper": [10.0, float("nan"), 0.6]}
+            ),
+            other,
+        )
+        with pytest.raises(ValueError, match="pairs other metrics"):
+            scorecard([first, other])
+        with pytest.raises(ValueError):
+            scorecard([])
+
+    def test_committed_scorecard_matches_committed_metrics(self):
+        """``results/scorecard.csv``'s seed-0 column is the scorecard of
+        ``results/metrics.csv`` (both from ``report-all --seed 0``)."""
+        committed = read_csv(RESULTS / "scorecard.csv")
+        card, _ = scorecard([RESULTS / "metrics.csv"])
+        for name in ("experiment", "metric", "paper", "seed0"):
+            assert committed[name].tolist() == card[name].tolist(), name

@@ -69,18 +69,18 @@ class TestPathIntegration:
         for modems in (False, True):
             sim = PathSimulator(seed=3, model_modems=modems)
             rng = np.random.default_rng(5)
-            speeds = []
-            for i in range(120):
-                household = Household(
-                    f"h-modem-{i}", "A", 6, plan, -40.0, 5.0
+            users = [
+                Subscriber(
+                    f"u{i}",
+                    Household(f"h-modem-{i}", "A", 6, plan, -40.0, 5.0),
+                    "desktop-ethernet", "ethernet", 16.0, 1,
                 )
-                user = Subscriber(
-                    f"u{i}", household, "desktop-ethernet", "ethernet",
-                    16.0, 1,
-                )
-                outcome = sim.run_test(user, WIRED_PANEL_PROFILE, 3, rng)
-                speeds.append(outcome.download_mbps)
-            downloads[modems] = np.asarray(speeds)
+                for i in range(120)
+            ]
+            draws = sim.draw(
+                WIRED_PANEL_PROFILE, users, np.arange(120), np.full(120, 3), rng
+            )
+            downloads[modems] = sim.compute(draws).download_mbps
         # With modem modelling on, a visible tail of gigabit-plan tests
         # collapses to the 8x4 ceiling (~343 Mbps).
         assert np.mean(downloads[True] < 400) > 0.05

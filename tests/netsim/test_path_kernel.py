@@ -1,24 +1,24 @@
 """Bit-identity oracle for the batch path kernel.
 
-``PathSimulator`` draws each test's random numbers one scalar ``rng``
-call at a time (:class:`TestDraws`) and computes every test's speeds in
-one numpy pass (:meth:`PathSimulator.compute`).  The references below are
-the one-test-at-a-time scalar arithmetic the simulator had before: each
-test draws and computes in turn with Python floats, ``math.sqrt`` and
-Python's ``**``.  Both sides run on generators with the same seed; the
-generator logs every call, so the tests check that the kernel makes the
-same calls with the same arguments in the same order, and that every
+``PathSimulator.draw`` makes a run's random numbers, one ``rng`` call per
+column (:class:`TestDraws`), and :meth:`PathSimulator.compute` turns
+every test's draws into speeds in one numpy pass.  The references below
+are the one-test-at-a-time scalar arithmetic the simulator had before:
+each test computes in turn with Python floats, ``math.sqrt`` and
+Python's ``**``, reading its own entry of each draw column.  The tests
+feed both sides the same explicit draw arrays and check that every
 computed number has the same bytes.
 
-A widening generator stretches the normal and exponential draws so that
-every clamp of the path binds many times: the 1 ms RTT floor, the loss
-range [1e-7, 0.05], the time-of-day range [0.6, 1], the 1 Mbps WiFi
-download floor and the 0.05 Mbps result floor.
+Widened draws stretch each normal column's spread and each exponential
+column's mean so that every clamp of the path binds many times: the
+1 ms RTT floor, the loss range [1e-7, 0.05], the time-of-day range
+[0.6, 1], the 1 Mbps WiFi download floor and the 0.05 Mbps result floor.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -34,6 +34,7 @@ from repro.netsim.path import (
     WIRED_PANEL_PROFILE,
     FlowProfile,
     PathSimulator,
+    TestDraws as PathDraws,
 )
 from repro.netsim.path import TestConditions as PathConditions
 from repro.netsim.tcp import saturation_efficiency
@@ -70,38 +71,27 @@ def _ref_wifi_cap(band_ghz, rssi_dbm, contention):
     return phy * _MAC_EFFICIENCY[band_ghz] * contention
 
 
-def _ref_sample_conditions(sim, subscriber, hour, rng) -> PathConditions:
+def _ref_conditions(sim, subscriber, hour, d) -> PathConditions:
     latency = sim.latency_model
     on_wifi = subscriber.access == "wifi"
-    band = subscriber.household.band_ghz
     rssi = None
     contention = None
     if on_wifi:
         household = subscriber.household
         rssi = min(
-            max(household.rssi_mean_dbm + rng.normal(0.0, 5.0), -88.0),
-            -20.0,
+            max(household.rssi_mean_dbm + d["rssi_noise"], -88.0), -20.0
         )
-        lo, hi = {5.0: (0.45, 0.95), 2.4: (0.30, 0.85)}[band]
-        contention = float(rng.uniform(lo, hi))
-    rtt = float(
-        np.exp(rng.normal(np.log(latency.median_rtt_ms), latency.rtt_sigma))
-    )
+        contention = d["contention"]
+    rtt = float(np.exp(d["log_rtt"]))
     if on_wifi:
-        if band == 2.4:
-            lo, hi = latency.wifi_24ghz_extra_rtt_range_ms
-        else:
-            lo, hi = latency.wifi_extra_rtt_range_ms
-        rtt += float(rng.uniform(lo, hi))
+        rtt += d["rtt_extra"]
     rtt = max(rtt, 1.0)
-    loss = float(
-        np.exp(rng.normal(np.log(latency.median_loss), latency.loss_sigma))
-    )
+    loss = float(np.exp(d["log_loss"]))
     if on_wifi:
-        loss += float(rng.uniform(0.0, latency.wifi_extra_loss))
+        loss += d["loss_extra"]
     loss = float(min(max(loss, 1e-7), 0.05))
     base = 1.0 if hour < 6 else 0.90
-    tod = min(max(base + rng.normal(0.0, 0.02), 0.6), 1.0)
+    tod = min(max(base + d["tod_noise"], 0.6), 1.0)
     return PathConditions(
         hour=hour,
         rtt_ms=rtt,
@@ -109,11 +99,7 @@ def _ref_sample_conditions(sim, subscriber, hour, rng) -> PathConditions:
         tod_factor=tod,
         rssi_dbm=rssi,
         contention_factor=contention,
-        cross_traffic_mbps=(
-            float(rng.exponential(sim.cross_traffic_scale_mbps))
-            if on_wifi
-            else 0.0
-        ),
+        cross_traffic_mbps=d["cross_traffic"] if on_wifi else 0.0,
     )
 
 
@@ -151,7 +137,7 @@ def _ref_path_ceilings(sim, subscriber, conditions, direction) -> float:
     return min(ceilings)
 
 
-def _ref_simulate_direction(sim, subscriber, profile, conditions, rng, direction):
+def _ref_direction(sim, subscriber, profile, conditions, d, direction):
     path_cap = _ref_path_ceilings(sim, subscriber, conditions, direction)
     per_flow = _ref_flow_throughput(
         conditions.rtt_ms, conditions.loss_rate, profile.window_bytes
@@ -163,68 +149,61 @@ def _ref_simulate_direction(sim, subscriber, profile, conditions, rng, direction
         * _ref_saturation_efficiency(target)
         * profile.methodology_efficiency
     )
-    if (
-        profile.client_efficiency_sigma > 0
-        and direction == "upload"
-        and rng.random() < sim._upstream_contention_prob(profile)
-    ):
-        measured *= float(rng.uniform(0.05, 0.35))
+    if profile.client_efficiency_sigma > 0 and direction == "upload":
+        measured *= d["upstream_factor"]
     if profile.client_efficiency_sigma > 0 and direction == "download":
-        factor = float(
-            np.exp(rng.normal(-0.06, profile.client_efficiency_sigma))
-        )
+        factor = float(np.exp(d["client_noise"]))
         measured *= min(factor, 1.05)
-    sigma = (
-        sim.download_noise_sigma
-        if direction == "download"
-        else sim.upload_noise_sigma
-    )
-    measured *= float(np.exp(rng.normal(0.0, sigma)))
+    noise = d["download_noise" if direction == "download" else "upload_noise"]
+    measured *= float(np.exp(noise))
     return max(measured, 0.05)
 
 
-def _ref_run_test(sim, subscriber, profile, hour, rng):
-    conditions = _ref_sample_conditions(sim, subscriber, hour, rng)
-    download = _ref_simulate_direction(
-        sim, subscriber, profile, conditions, rng, "download"
+def _ref_test(sim, subscriber, profile, hour, d):
+    conditions = _ref_conditions(sim, subscriber, hour, d)
+    download = _ref_direction(
+        sim, subscriber, profile, conditions, d, "download"
     )
-    upload = _ref_simulate_direction(
-        sim, subscriber, profile, conditions, rng, "upload"
-    )
+    upload = _ref_direction(sim, subscriber, profile, conditions, d, "upload")
     return conditions, download, upload
 
 
 # ---------------------------------------------------------------------------
-# Fixtures: a logging, optionally widening generator and mixed subscribers
+# Fixtures: explicit draw arrays, optionally widened, and mixed subscribers
 # ---------------------------------------------------------------------------
-class LoggingRng:
-    """A generator stand-in that logs every call and can widen draws.
+_COLUMNS = tuple(
+    f.name for f in fields(PathDraws) if f.name not in ("profile", "paths")
+)
 
-    ``spread`` multiplies each normal draw's scale and each exponential
-    draw's mean, pushing the path into its clamps; uniform draws keep
-    their ranges, since those are the model's own bounds.
-    """
 
-    def __init__(self, seed: int, spread: float = 1.0):
-        self._rng = np.random.default_rng(seed)
-        self._spread = spread
-        self.calls: list[tuple] = []
+def _widen(sim, draws: PathDraws, spread: float) -> PathDraws:
+    """``draws`` with each normal column's spread around its mean, and
+    the exponential cross traffic, multiplied by ``spread``; uniform
+    columns keep their ranges, since those are the model's own bounds.
+    Wired tests' neutral values stay as they are."""
+    latency = sim.latency_model
+    locs = {
+        "rssi_noise": 0.0,
+        "log_rtt": latency.log_median_rtt,
+        "log_loss": latency.log_median_loss,
+        "tod_noise": 0.0,
+        "client_noise": path_module._CLIENT_EFFICIENCY_LOC,
+        "download_noise": 0.0,
+        "upload_noise": 0.0,
+    }
+    wide = {
+        name: loc + (getattr(draws, name) - loc) * spread
+        for name, loc in locs.items()
+    }
+    if draws.profile.client_efficiency_sigma == 0:
+        wide["client_noise"] = draws.client_noise
+    wide["cross_traffic"] = draws.cross_traffic * spread
+    return replace(draws, **wide)
 
-    def normal(self, loc, scale):
-        self.calls.append(("normal", float(loc), float(scale)))
-        return self._rng.normal(loc, scale * self._spread)
 
-    def uniform(self, low, high):
-        self.calls.append(("uniform", float(low), float(high)))
-        return self._rng.uniform(low, high)
-
-    def random(self):
-        self.calls.append(("random",))
-        return self._rng.random()
-
-    def exponential(self, scale):
-        self.calls.append(("exponential", float(scale)))
-        return self._rng.exponential(scale * self._spread)
+def _draws_of(draws: PathDraws, i: int) -> dict[str, float]:
+    """Test ``i``'s entry of every draw column, as Python numbers."""
+    return {name: getattr(draws, name)[i].item() for name in _COLUMNS}
 
 
 def _subscribers(n: int, seed: int) -> list[Subscriber]:
@@ -276,24 +255,23 @@ def _check_run(
     n: int = 600,
     **sim_kwargs,
 ):
-    """A batch of ``n`` tests against ``n`` reference tests; returns the
-    reference conditions and speeds for clamp checks."""
+    """A run of ``n`` tests against ``n`` reference tests fed the same
+    draws; returns the reference conditions and speeds for clamp
+    checks."""
     users = _subscribers(n // 3, seed)
-    hours = np.random.default_rng(seed + 1).integers(0, 24, size=n).tolist()
+    hours = np.random.default_rng(seed + 1).integers(0, 24, size=n)
+    sim = PathSimulator(seed=seed, **sim_kwargs)
+    user = np.arange(n) % len(users)
+    draws = sim.draw(profile, users, user, hours, np.random.default_rng(seed + 2))
+    draws = _widen(sim, draws, spread)
+    got = sim.compute(draws)
     ref_sim = PathSimulator(seed=seed, **sim_kwargs)
-    ref_rng = LoggingRng(seed + 2, spread)
     want = [
-        _ref_run_test(ref_sim, users[i % len(users)], profile, hours[i], ref_rng)
+        _ref_test(
+            ref_sim, users[user[i]], profile, int(hours[i]), _draws_of(draws, i)
+        )
         for i in range(n)
     ]
-    sim = PathSimulator(seed=seed, **sim_kwargs)
-    rng = LoggingRng(seed + 2, spread)
-    draws = sim.draws(profile, rng)
-    ids = [draws.add_user(user) for user in users]
-    for i in range(n):
-        draws.add(ids[i % len(users)], hours[i])
-    got = sim.compute(draws)
-    assert rng.calls == ref_rng.calls
     conditions = [c for c, _, _ in want]
     for name in ("rtt_ms", "loss_rate", "tod_factor", "cross_traffic_mbps"):
         assert _same_bits(
@@ -306,9 +284,9 @@ def _check_run(
         ), name
     assert _same_bits(got.download_mbps, [d for _, d, _ in want])
     assert _same_bits(got.upload_mbps, [u for _, _, u in want])
-    assert got.hour.tolist() == hours
+    assert got.hour.tolist() == hours.tolist()
     return (
-        [users[i % len(users)] for i in range(n)],
+        [users[i] for i in user],
         conditions,
         np.asarray([d for _, d, _ in want]),
         np.asarray([u for _, _, u in want]),
@@ -393,65 +371,50 @@ class TestBatchKernelBitIdentity:
 
     def test_empty_run(self):
         sim = PathSimulator(seed=0)
-        draws = sim.draws(MULTI_FLOW_PROFILE, np.random.default_rng(0))
+        draws = sim.draw(
+            MULTI_FLOW_PROFILE, [], [], [], np.random.default_rng(0)
+        )
         tests = sim.compute(draws)
         assert len(tests) == 0
         assert tests.download_mbps.dtype == np.float64
 
 
 class TestOneTestCalls:
-    """``run_test``, ``sample_conditions`` and ``simulate_direction`` go
-    through the same kernel, one test at a time."""
+    """Runs of one test go through the same kernel."""
 
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     def test_run_test_matches_scalar(self, profile):
         users = _subscribers(60, 9)
         ref_sim, sim = PathSimulator(seed=9), PathSimulator(seed=9)
-        ref_rng, rng = LoggingRng(10, 12.0), LoggingRng(10, 12.0)
+        rng = np.random.default_rng(10)
         for i, user in enumerate(users * 2):
             hour = i % 24
-            conditions, download, upload = _ref_run_test(
-                ref_sim, user, profile, hour, ref_rng
+            draws = _widen(sim, sim.draw(profile, [user], [0], [hour], rng), 12.0)
+            conditions, download, upload = _ref_test(
+                ref_sim, user, profile, hour, _draws_of(draws, 0)
             )
-            outcome = sim.run_test(user, profile, hour, rng)
+            outcome = sim.compute(draws).outcome(0)
             assert outcome.conditions == conditions
             assert _same_bits(
                 [outcome.download_mbps, outcome.upload_mbps],
                 [download, upload],
             )
-        assert rng.calls == ref_rng.calls
-
-    @pytest.mark.parametrize("direction", ["download", "upload"])
-    def test_sample_conditions_and_simulate_direction(self, direction):
-        users = _subscribers(90, 11)
-        ref_sim, sim = PathSimulator(seed=11), PathSimulator(seed=11)
-        ref_rng, rng = LoggingRng(12, 12.0), LoggingRng(12, 12.0)
-        for i, user in enumerate(users):
-            profile = PROFILES[i % len(PROFILES)]
-            want = _ref_sample_conditions(ref_sim, user, i % 24, ref_rng)
-            got = sim.sample_conditions(user, i % 24, rng)
-            assert got == want
-            assert _same_bits(
-                sim.simulate_direction(user, profile, got, rng, direction),
-                _ref_simulate_direction(
-                    ref_sim, user, profile, want, ref_rng, direction
-                ),
-            )
-        assert rng.calls == ref_rng.calls
 
     def test_conditions_are_python_floats(self):
         sim = PathSimulator(seed=0)
         user = _subscribers(1, 0)[0]
-        outcome = sim.run_test(
-            user, MULTI_FLOW_PROFILE, 12, np.random.default_rng(0)
+        draws = sim.draw(
+            MULTI_FLOW_PROFILE, [user], [0], [12], np.random.default_rng(0)
         )
+        outcome = sim.compute(draws).outcome(0)
         assert type(outcome.download_mbps) is float
         assert type(outcome.conditions.rtt_ms) is float
         assert type(outcome.conditions.hour) is int
 
     def test_invalid_hour_fails_before_drawing(self):
         sim = PathSimulator(seed=0)
-        rng = LoggingRng(0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError):
-            sim.run_test(_subscribers(1, 0)[0], MULTI_FLOW_PROFILE, 24, rng)
-        assert rng.calls == []
+            sim.draw(MULTI_FLOW_PROFILE, _subscribers(1, 0), [0], [24], rng)
+        assert rng.bit_generator.state == state

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.experiments import data
+from repro.experiments.base import Scale
 from repro.pipeline import (
     access_type_comparison,
     bottleneck_comparison,
@@ -67,13 +69,18 @@ class TestComparisons:
         top_bins = [medians[label] for label in MEMORY_BIN_LABELS[2:]]
         assert medians["< 2 GB"] < min(top_bins)
 
-    def test_bottleneck_majority(self, ookla_ctx_a):
-        comparison = bottleneck_comparison(ookla_ctx_a.table)
+    def test_bottleneck_majority(self):
+        # The ~5k-test fixture's ~450 Android tests are too few for this
+        # ratio: it fails on some fixture seeds in 0-9, because the
+        # Local-bottleneck cell's median sits between the two modes that
+        # within-group tier reassignment makes.  A MEDIUM-scale city
+        # (20k tests) holds it on seeds 0-9; the MEDIUM-scale bench
+        # asserts the paper's >2x gap.
+        table = data.ookla_contextualized("A", Scale.MEDIUM, 0).table
+        comparison = bottleneck_comparison(table)
         shares = comparison.shares()
         medians = comparison.medians()
         assert shares["Local-bottleneck"] > 0.5
-        # Small fixture (~450 Android tests): assert the ordering; the
-        # MEDIUM-scale bench asserts the paper's >2x gap.
         assert medians["Best"] > medians["Local-bottleneck"] * 1.3
 
     def test_counts_and_shares_consistent(self, ookla_ctx_a):
