@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bst import BSTResult
-from repro.market.plans import PlanCatalog
+from repro.core.bst import BSTResult, map_rows
+from repro.obs.trace import span
 
 __all__ = [
     "upload_group_accuracy",
@@ -24,14 +24,6 @@ __all__ = [
 ]
 
 
-def _group_index_of_tier(catalog: PlanCatalog, tier: int) -> int:
-    """Which upload group a plan tier belongs to."""
-    for gi, group in enumerate(catalog.upload_groups()):
-        if any(p.tier == tier for p in group.plans):
-            return gi
-    raise KeyError(f"tier {tier} not in catalog {catalog.isp_name}")
-
-
 def upload_group_accuracy(result: BSTResult, true_tiers) -> float:
     """Fraction of measurements assigned to the correct upload group."""
     true_tiers = np.asarray(true_tiers)
@@ -39,8 +31,8 @@ def upload_group_accuracy(result: BSTResult, true_tiers) -> float:
         raise ValueError("ground truth length mismatch")
     if len(result) == 0:
         raise ValueError("empty result has no accuracy")
-    true_groups = np.asarray(
-        [_group_index_of_tier(result.catalog, int(t)) for t in true_tiers]
+    true_groups = map_rows(
+        true_tiers, result.catalog.upload_group_index, np.int64
     )
     return float(np.mean(result.group_indices == true_groups))
 
@@ -73,23 +65,40 @@ def accuracy_report(result: BSTResult, true_tiers) -> AccuracyReport:
         raise ValueError("ground truth length mismatch")
     if len(result) == 0:
         raise ValueError("empty result has no accuracy")
-    groups = result.upload_stage.groups
-    per_group: dict[str, float] = {}
-    for gi, group in enumerate(groups):
-        rows = np.flatnonzero(result.group_indices == gi)
-        if rows.size == 0:
-            continue
-        per_group[group.tier_label] = float(
-            np.mean(result.tiers[rows] == true_tiers[rows])
+    with span("bst.accuracy", n=len(result)):
+        groups = result.upload_stage.groups
+        per_group: dict[str, float] = {}
+        for gi, group in enumerate(groups):
+            rows = np.flatnonzero(result.group_indices == gi)
+            if rows.size == 0:
+                continue
+            per_group[group.tier_label] = float(
+                np.mean(result.tiers[rows] == true_tiers[rows])
+            )
+        return AccuracyReport(
+            n_measurements=len(result),
+            upload_group_accuracy=upload_group_accuracy(result, true_tiers),
+            tier_accuracy=tier_accuracy(result, true_tiers),
+            per_group_tier_accuracy=per_group,
+            confusion=_confusion(true_tiers, result.tiers),
         )
-    confusion: dict[tuple[int, int], int] = {}
-    for true_t, got_t in zip(true_tiers.tolist(), result.tiers.tolist()):
-        key = (int(true_t), int(got_t))
-        confusion[key] = confusion.get(key, 0) + 1
-    return AccuracyReport(
-        n_measurements=len(result),
-        upload_group_accuracy=upload_group_accuracy(result, true_tiers),
-        tier_accuracy=tier_accuracy(result, true_tiers),
-        per_group_tier_accuracy=per_group,
-        confusion=confusion,
+
+
+def _confusion(true_tiers: np.ndarray, tiers) -> dict[tuple[int, int], int]:
+    """(true, assigned) pair counts, keyed in first-occurrence order."""
+    got = np.asarray(tiers, dtype=np.int64)
+    _, true_codes = np.unique(true_tiers, return_inverse=True)
+    got_values, got_codes = np.unique(got, return_inverse=True)
+    # One code per (true, assigned) pair; it stays below n**2.
+    pair_codes = true_codes.ravel() * got_values.size + got_codes.ravel()
+    _, first, counts = np.unique(
+        pair_codes, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rows = first[order]
+    return dict(
+        zip(
+            zip(true_tiers[rows].tolist(), got[rows].tolist()),
+            counts[order].tolist(),
+        )
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -131,17 +132,18 @@ class BSTResult:
         lookup = {
             p.tier: p.download_mbps for p in self.catalog.plans
         }
-        return np.asarray([lookup[int(t)] for t in self.tiers], dtype=float)
+        return map_rows(self.tiers, lookup.__getitem__, float)
 
     def plan_upload_for_rows(self) -> np.ndarray:
         """Advertised upload speed (Mbps) of each row's assigned plan."""
         lookup = {p.tier: p.upload_mbps for p in self.catalog.plans}
-        return np.asarray([lookup[int(t)] for t in self.tiers], dtype=float)
+        return map_rows(self.tiers, lookup.__getitem__, float)
 
     def group_label_for_rows(self) -> list[str]:
         """Paper-style span label (e.g. "Tier 1-3") of each row's group."""
         labels = [g.tier_label for g in self.upload_stage.groups]
-        return [labels[int(i)] for i in self.group_indices]
+        rows = map_rows(self.group_indices, labels.__getitem__, object)
+        return rows.tolist()
 
 
 class BSTModel:
@@ -308,9 +310,7 @@ class BSTModel:
                 int(np.argmin(np.abs(np.log(max(m, 1e-6)) - np.log(offered))))
                 for m in means
             )
-            group_indices = np.asarray(
-                [component_groups[label] for label in labels], dtype=np.int64
-            )
+            group_indices = gather_labels(component_groups, labels)
 
             # Per-group reported mean: the component nearest the offered
             # speed among those mapped to the group (Table 3's cluster
@@ -394,9 +394,7 @@ class BSTModel:
                 cluster_tiers = tuple(
                     _nearest_plan_tier(m, plans) for m in means
                 )
-                tiers = np.asarray(
-                    [cluster_tiers[label] for label in labels]
-                )
+                tiers = gather_labels(cluster_tiers, labels)
             sp.set(kde_peaks=peak_count, k=k)
         obs_metrics.counter("bst.download_fits").inc()
         fit = DownloadStageFit(
@@ -554,6 +552,28 @@ def _require_finite(values, name: str) -> np.ndarray:
             "NaN/inf); filter non-finite rows before fitting"
         )
     return values
+
+
+def gather_labels(table, labels: np.ndarray) -> np.ndarray:
+    """``table[label]`` for each row's cluster label, as one int64 gather."""
+    return np.asarray(table, dtype=np.int64)[labels]
+
+
+def map_rows(values, lookup: Callable[[int], Any], dtype) -> np.ndarray:
+    """``[lookup(int(v)) for v in values]`` as an array, one call per value.
+
+    ``lookup`` runs once per distinct value, in the order each first
+    occurs, so an unknown value raises the same error a row-by-row loop
+    would raise first; the rows are then one gather.
+    """
+    values = np.asarray(values)
+    distinct, first, inverse = np.unique(
+        values, return_index=True, return_inverse=True
+    )
+    mapped = np.empty(distinct.size, dtype=dtype)
+    for j in np.argsort(first):
+        mapped[j] = lookup(int(distinct[j]))
+    return mapped[inverse.reshape(values.shape)]
 
 
 def _nearest_plan_tier(cluster_mean: float, plans) -> int:

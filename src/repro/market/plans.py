@@ -105,6 +105,20 @@ class PlanCatalog:
         self._by_tier = {p.tier: p for p in self.plans}
         if len(self._by_tier) != len(self.plans):
             raise ValueError("plan tiers must be unique")
+        # The plans are a fixed tuple, so the upload groups and the
+        # tier -> group index map are built once here, not per lookup.
+        self._upload_groups = tuple(
+            UploadGroup(
+                upload_mbps=upload,
+                plans=tuple(p for p in self.plans if p.upload_mbps == upload),
+            )
+            for upload in self.upload_speeds
+        )
+        self._group_index_by_tier = {
+            plan.tier: gi
+            for gi, group in enumerate(self._upload_groups)
+            for plan in group.plans
+        }
 
     # ------------------------------------------------------------------
     @property
@@ -135,13 +149,16 @@ class PlanCatalog:
 
     def upload_groups(self) -> tuple[UploadGroup, ...]:
         """Plans grouped by shared upload speed, ascending by upload."""
-        groups = []
-        for upload in self.upload_speeds:
-            members = tuple(
-                p for p in self.plans if p.upload_mbps == upload
-            )
-            groups.append(UploadGroup(upload_mbps=upload, plans=members))
-        return tuple(groups)
+        return self._upload_groups
+
+    def upload_group_index(self, tier: int) -> int:
+        """Index into :meth:`upload_groups` of the group holding ``tier``."""
+        try:
+            return self._group_index_by_tier[tier]
+        except KeyError:
+            raise KeyError(
+                f"tier {tier} not in catalog {self.isp_name}"
+            ) from None
 
     def group_for_upload(self, upload_mbps: float) -> UploadGroup:
         """The upload group advertising exactly ``upload_mbps``."""

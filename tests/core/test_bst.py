@@ -1,10 +1,15 @@
 """Tests for the BST two-stage clustering pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import BSTConfig, BSTModel
+from repro.core.bst import gather_labels
 from repro.market import Plan, PlanCatalog, city_catalog
+from repro.market.isps import CITY_IDS, state_catalog
+from repro.vendors.mba import MBASimulator
 
 
 @pytest.fixture
@@ -237,3 +242,158 @@ class TestConfig:
     def test_invalid_prior(self):
         with pytest.raises(ValueError):
             BSTConfig(upload_mean_prior=-0.1)
+
+
+# ----------------------------------------------------------------------
+# Row mapping against the per-row loops it replaced (bit-identical).
+# ----------------------------------------------------------------------
+def oracle_upload_rows(component_groups, labels):
+    return np.asarray(
+        [component_groups[label] for label in labels], dtype=np.int64
+    )
+
+
+def oracle_download_rows(cluster_tiers, labels):
+    return np.asarray([cluster_tiers[label] for label in labels])
+
+
+def oracle_plan_download_for_rows(result):
+    lookup = {p.tier: p.download_mbps for p in result.catalog.plans}
+    return np.asarray([lookup[int(t)] for t in result.tiers], dtype=float)
+
+
+def oracle_plan_upload_for_rows(result):
+    lookup = {p.tier: p.upload_mbps for p in result.catalog.plans}
+    return np.asarray([lookup[int(t)] for t in result.tiers], dtype=float)
+
+
+def oracle_group_label_for_rows(result):
+    labels = [g.tier_label for g in result.upload_stage.groups]
+    return [labels[int(i)] for i in result.group_indices]
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class RecordingBST(BSTModel):
+    """Keeps each clusterer call's labels, in call order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.labels = []
+
+    def _cluster(self, *args, **kwargs):
+        out = super()._cluster(*args, **kwargs)
+        self.labels.append(out[0])
+        return out
+
+
+def mba_fits(seed, n=4000):
+    for i, state in enumerate(CITY_IDS):
+        panel = MBASimulator(state, seed=seed * 10 + i).generate(n)
+        model = RecordingBST(state_catalog(state))
+        result = model.fit(panel["download_mbps"], panel["upload_mbps"])
+        yield model, result, panel
+
+
+class TestRowMappingOracle:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mba_panels_match_loops(self, seed):
+        for model, result, _ in mba_fits(seed):
+            upload_labels, *download_labels = model.labels
+            assert_same_array(
+                result.group_indices,
+                oracle_upload_rows(
+                    result.upload_stage.component_groups, upload_labels
+                ),
+            )
+            tiers = np.zeros(len(result), dtype=np.int64)
+            for (gi, stage), labels in zip(
+                sorted(result.download_stages.items()), download_labels
+            ):
+                rows = np.flatnonzero(result.group_indices == gi)
+                want = oracle_download_rows(stage.cluster_tiers, labels)
+                assert want.dtype == np.int64
+                tiers[rows] = want
+            assert_same_array(result.tiers, tiers)
+            assert_same_array(
+                result.plan_download_for_rows(),
+                oracle_plan_download_for_rows(result),
+            )
+            assert_same_array(
+                result.plan_upload_for_rows(),
+                oracle_plan_upload_for_rows(result),
+            )
+            assert result.group_label_for_rows() == (
+                oracle_group_label_for_rows(result)
+            )
+
+    def test_download_stage_matches_loop(self, catalog):
+        group = catalog.upload_groups()[0]
+        rng = np.random.default_rng(2)
+        downloads = np.concatenate(
+            [rng.normal(27, 3, 300), rng.normal(220, 15, 300)]
+        )
+        model = RecordingBST(catalog)
+        stage, tiers = model.fit_download_stage(downloads, group, 0)
+        assert_same_array(
+            tiers, oracle_download_rows(stage.cluster_tiers, model.labels[0])
+        )
+
+    def test_gather_edge_cases(self):
+        table = (1, 2, 3, 6)
+        for labels in (
+            np.array([2], dtype=np.intp),
+            np.array([3, 3, 0, 1, 0], dtype=np.intp),
+            np.arange(4),
+        ):
+            assert_same_array(
+                gather_labels(table, labels),
+                oracle_download_rows(table, labels),
+            )
+        empty = gather_labels(table, np.array([], dtype=np.intp))
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+        with pytest.raises(IndexError):
+            gather_labels(table, np.array([4]))
+
+    def test_row_lookups_edge_cases(self, catalog):
+        downloads, uploads, _ = synthetic_city_sample(catalog)
+        fitted = BSTModel(catalog).fit(downloads, uploads)
+        int64 = np.int64
+        cases = {
+            "one row": ([3], [6], int64),
+            "empty": ([], [], int64),
+            # Group 1 (Tier 4) and tiers 1 and 4 get no rows.
+            "gaps": ([0, 3, 0, 2], [2, 6, 3, 5], int64),
+            "float dtype": ([3.0, 0.0], [6.0, 2.0], float),
+        }
+        for name, (groups, tiers, dtype) in cases.items():
+            result = replace(
+                fitted,
+                group_indices=np.asarray(groups, dtype=dtype),
+                tiers=np.asarray(tiers, dtype=dtype),
+            )
+            assert_same_array(
+                result.plan_download_for_rows(),
+                oracle_plan_download_for_rows(result),
+            )
+            assert_same_array(
+                result.plan_upload_for_rows(),
+                oracle_plan_upload_for_rows(result),
+            )
+            assert result.group_label_for_rows() == (
+                oracle_group_label_for_rows(result)
+            ), name
+
+    def test_unknown_tier_raises_like_loop(self, catalog):
+        downloads, uploads, _ = synthetic_city_sample(catalog)
+        fitted = BSTModel(catalog).fit(downloads, uploads)
+        result = replace(fitted, tiers=np.array([2, 99, 1, 42]))
+        with pytest.raises(KeyError) as want:
+            oracle_plan_download_for_rows(result)
+        with pytest.raises(KeyError) as got:
+            result.plan_download_for_rows()
+        assert got.value.args == want.value.args == (99,)

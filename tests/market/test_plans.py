@@ -87,6 +87,16 @@ class TestPlanCatalog:
         labels = [g.tier_label for g in catalog.upload_groups()]
         assert labels == ["Tier 1-2", "Tier 3", "Tier 4"]
 
+    def test_upload_group_index(self, catalog):
+        for gi, group in enumerate(catalog.upload_groups()):
+            for plan in group.plans:
+                assert catalog.upload_group_index(plan.tier) == gi
+        with pytest.raises(KeyError, match="tier 9 not in catalog"):
+            catalog.upload_group_index(9)
+
+    def test_upload_groups_built_once(self, catalog):
+        assert catalog.upload_groups() is catalog.upload_groups()
+
     def test_group_for_upload_exact(self, catalog):
         group = catalog.group_for_upload(5.0)
         assert group.download_speeds == (25, 100)
