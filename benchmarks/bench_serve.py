@@ -34,7 +34,7 @@ from repro.market import city_catalog
 from repro.obs import use_collector, use_registry
 from repro.obs.runs import record_bench
 from repro.pipeline.contextualize import contextualize
-from repro.serve.engine import QuantizedLookup, TierAssigner
+from repro.serve.engine import TierAssigner
 from repro.serve.registry import ModelRegistry
 from repro.serve.router import build_router
 from repro.serve.server import ServeConfig, build_server
@@ -141,24 +141,12 @@ def test_warm_registry_vs_refit_and_throughput(benchmark, tmp_path):
         throughput = assigned / http_s
         metrics.gauge("serve.bench.http_rps").set(throughput)
 
-        # Raw engine rates: the vectorised exact path and the proven
-        # quantized table, no HTTP in the way.
+        # Raw engine rate: the vectorised exact path, no HTTP in the way.
         assigner = TierAssigner(registry.load(registry.key_for("A", catalog))[0])
         t0 = time.perf_counter()
-        exact_batch = assigner.assign(downs, ups)
+        assigner.assign(downs, ups)
         engine_rows_s = downs.size / (time.perf_counter() - t0)
-        lookup = QuantizedLookup.build(assigner, downs, ups)
-        t0 = time.perf_counter()
-        lookup_batch = lookup.assign(downs, ups)
-        lookup_rows_s = downs.size / (time.perf_counter() - t0)
-        lookup_identical = bool(
-            np.array_equal(exact_batch.tiers, lookup_batch.tiers)
-            and np.array_equal(
-                exact_batch.group_indices, lookup_batch.group_indices
-            )
-        )
         metrics.gauge("serve.bench.engine_rows_s").set(engine_rows_s)
-        metrics.gauge("serve.bench.lookup_rows_s").set(lookup_rows_s)
 
         # Sharded multi-worker path: a second city on the other shard,
         # a 2-worker router in front, concurrent clients, and a
@@ -280,8 +268,6 @@ def test_warm_registry_vs_refit_and_throughput(benchmark, tmp_path):
             "byte_identical": float(byte_identical),
             "http_assignments_per_s": throughput,
             "engine_rows_per_s": engine_rows_s,
-            "lookup_rows_per_s": lookup_rows_s,
-            "lookup_byte_identical": float(lookup_identical),
             "router_assignments_per_s": router_throughput,
             "router_byte_identical": float(router_identical),
         },
@@ -309,11 +295,7 @@ def test_warm_registry_vs_refit_and_throughput(benchmark, tmp_path):
         f"http throughput:   {throughput:9.0f} assignments/s "
         f"({assigned} over {http_s * 1e3:.1f} ms, single worker)"
     )
-    print(
-        f"engine rows/s:     {engine_rows_s:9.0f} exact, "
-        f"{lookup_rows_s:.0f} quantized "
-        f"(byte-identical: {lookup_identical})"
-    )
+    print(f"engine rows/s:     {engine_rows_s:9.0f} exact")
     print(
         f"router throughput: {router_throughput:9.0f} assignments/s "
         f"({sum(router_assigned)} over {router_s * 1e3:.1f} ms, "
@@ -330,9 +312,6 @@ def test_warm_registry_vs_refit_and_throughput(benchmark, tmp_path):
     )
     assert throughput >= 1000.0, (
         f"server throughput {throughput:.0f}/s < 1000/s"
-    )
-    assert lookup_identical, (
-        "quantized lookup output differs from the exact engine"
     )
     assert router_identical, (
         f"router responses diverged from the exact engine on requests "

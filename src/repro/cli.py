@@ -261,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
              "N repro.serve.worker subprocesses (see docs/SERVING.md)",
     )
     serve.add_argument(
-        "--quantized", action="store_true",
-        help="serve via registered byte-identity-proven lookup tables "
-             "where available",
-    )
-    serve.add_argument(
         "--trace-sample", type=float, default=1.0, metavar="RATE",
         help="fraction of requests that get a serve.request span "
              "(trace ids are always issued)",
@@ -698,7 +693,6 @@ def _cmd_serve(args) -> Callable[[], int]:
             alert_rules_path=args.alert_rules,
             alert_log=args.alert_log if args.alert_log != "off" else None,
             alert_interval_s=args.alert_interval,
-            quantized=args.quantized,
             workers=args.workers,
             refit_interval_s=args.refit_interval if args.refit else 0.0,
             refit_jobs=args.jobs,

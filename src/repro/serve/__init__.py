@@ -28,7 +28,6 @@ See docs/SERVING.md for the full tour.
 from repro.serve.engine import (
     AssignmentBatch,
     MicroBatcher,
-    QuantizedLookup,
     TierAssigner,
 )
 from repro.serve.registry import ModelKey, ModelRecord, ModelRegistry
@@ -39,6 +38,5 @@ __all__ = [
     "ModelKey",
     "ModelRecord",
     "ModelRegistry",
-    "QuantizedLookup",
     "TierAssigner",
 ]

@@ -14,12 +14,6 @@ measurements that arrive later, without refitting.  Two layers:
   matrix by upload group, each present group's predictor evaluates one
   contiguous slice, and a single inverse scatter restores request order
   -- no per-group masking scans over the whole batch.
-- :class:`QuantizedLookup` -- an optional quantized nearest-plan lookup
-  table compiled from a frozen assigner: both BST stages are 1-D label
-  functions, so assignment reduces to two ``searchsorted`` threshold
-  lookups once the stage decision boundaries are bisected down to
-  adjacent float64s.  ``build`` proves byte-identity against the exact
-  GMM path on the training sample before the table may serve.
 - :class:`MicroBatcher` -- a bounded micro-batching queue for streaming
   input: the flush worker takes every tuple already queued (up to
   ``max_batch``) and flushes at once, so concurrent single-tuple
@@ -43,12 +37,11 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.bst import BSTResult
+from repro.core.bst import BSTResult, map_rows
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import current_trace_id, span, use_trace_id
 from repro.stats.gmm import GaussianMixture, GMMFitResult
@@ -58,7 +51,6 @@ __all__ = [
     "AssignmentBatch",
     "BatcherClosedError",
     "MicroBatcher",
-    "QuantizedLookup",
     "TierAssigner",
 ]
 
@@ -200,6 +192,7 @@ class TierAssigner:
         # log-nearest advertised download among the group's plans.
         self._fallback_log_downloads: dict[int, np.ndarray] = {}
         self._fallback_tiers: dict[int, np.ndarray] = {}
+        self._group_labels = [g.tier_label for g in upload.groups]
         for gi, group in enumerate(upload.groups):
             self._fallback_log_downloads[gi] = np.log(
                 np.asarray([p.download_mbps for p in group.plans])
@@ -227,9 +220,7 @@ class TierAssigner:
                 sp.set(trace_id=trace_id)
             labels = self._upload_predict(uploads)
             group_indices = self._component_groups[labels]
-            tiers, n_fallback = self._assign_grouped(
-                group_indices, downloads, self._segment_tiers
-            )
+            tiers, n_fallback = self._assign_grouped(group_indices, downloads)
             sp.set(n_fallback=n_fallback)
         return AssignmentBatch(
             tiers=tiers,
@@ -238,16 +229,13 @@ class TierAssigner:
         )
 
     def _assign_grouped(
-        self,
-        group_indices: np.ndarray,
-        downloads: np.ndarray,
-        label_fn: Callable[[int, np.ndarray], np.ndarray],
+        self, group_indices: np.ndarray, downloads: np.ndarray
     ) -> tuple[np.ndarray, int]:
         """Per-group download labels over the whole batch.
 
         A stable argsort segments the batch by upload group, so
-        ``label_fn(group, segment)`` evaluates one contiguous slice per
-        present group and a single inverse scatter restores request
+        ``_segment_tiers(group, segment)`` evaluates one contiguous slice
+        per present group and a single inverse scatter restores request
         order.  The stable sort keeps rows of a group in ascending
         request order -- exactly the order per-group masking produces --
         so tier labels stay byte-identical.  Rows of groups with no
@@ -262,7 +250,9 @@ class TierAssigner:
         n_fallback = 0
         for gi, lo, hi in zip(present, bounds[:-1], bounds[1:]):
             gi = int(gi)
-            sorted_tiers[lo:hi] = label_fn(gi, sorted_downloads[lo:hi])
+            sorted_tiers[lo:hi] = self._segment_tiers(
+                gi, sorted_downloads[lo:hi]
+            )
             if gi not in self._download_predict:
                 n_fallback += hi - lo
         tiers = np.empty(downloads.size, dtype=np.int64)
@@ -308,215 +298,8 @@ class TierAssigner:
 
     def group_labels(self, group_indices: np.ndarray) -> list[str]:
         """Paper-style span labels for a batch's group indices."""
-        labels = [g.tier_label for g in self.result.upload_stage.groups]
-        return [labels[int(i)] for i in group_indices]
-
-
-# ---------------------------------------------------------------------------
-# Quantized nearest-plan lookup table
-# ---------------------------------------------------------------------------
-def _label_cuts(values, label_fn) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold table ``(cuts, labels)`` reproducing ``label_fn``.
-
-    Both BST stages are 1-D label functions, so their decision
-    boundaries are points on the speed axis.  The table is built by
-    evaluating ``label_fn`` on the sorted unique sample, then bisecting
-    every label change down to *adjacent float64s* -- so the table flips
-    at exactly the float where the predictor does.  For any value
-    inside a scanned interval, ``labels[searchsorted(cuts, v, "right")]
-    == label_fn(v)``; outside the sample's hull, or inside a
-    non-monotonic pocket no sample point exposed, the caller must prove
-    equality empirically (see :meth:`QuantizedLookup.verify`).
-    """
-    points = np.unique(np.asarray(values, dtype=float))
-    if points.size == 0:
-        raise ValueError("cannot tabulate a predictor without samples")
-    labels = np.asarray(label_fn(points), dtype=np.int64)
-    change = np.flatnonzero(labels[:-1] != labels[1:])
-    lo = points[change].copy()
-    hi = points[change + 1].copy()
-    left = labels[change]
-    while True:
-        gap = np.nextafter(lo, hi) < hi
-        if not gap.any():
-            break
-        mid = lo + (hi - lo) * 0.5
-        mid = np.maximum(np.nextafter(lo, hi), np.minimum(mid, np.nextafter(hi, lo)))
-        same = np.asarray(label_fn(mid), dtype=np.int64) == left
-        lo = np.where(gap & same, mid, lo)
-        hi = np.where(gap & ~same, mid, hi)
-    region_labels = np.concatenate(
-        ([labels[0]], labels[change + 1])
-    ).astype(np.int64)
-    return hi.astype(float), region_labels
-
-
-class QuantizedLookup:
-    """Quantized nearest-plan lookup table over a frozen assigner.
-
-    Compiles a :class:`TierAssigner` into two layers of threshold
-    tables: upload value -> upload group, then (per group) download
-    value -> plan tier -- covering fitted GMM / k-means download stages
-    *and* the log-nearest-plan fallback alike.  Assignment is then two
-    ``searchsorted`` gathers: no log-pdf evaluation on the hot path.
-
-    :meth:`build` proves byte-identity against the exact GMM path on
-    the training sample before the table may serve (``strict=True``
-    raises on any mismatch); groups the sample never visited keep using
-    the exact predictors at assign time, so the table never extrapolates
-    a group it was not built for.  ``to_dict``/``from_dict`` round-trip
-    the (tiny) tables through JSON so a registry can persist the proof
-    alongside the model.
-    """
-
-    LOOKUP_SCHEMA = 1
-
-    def __init__(
-        self,
-        assigner: TierAssigner,
-        upload_cuts: np.ndarray,
-        upload_labels: np.ndarray,
-        download_tables: dict[int, tuple[np.ndarray, np.ndarray]],
-        verified_n: int = 0,
-    ):
-        self.assigner = assigner
-        self._upload_cuts = np.asarray(upload_cuts, dtype=float)
-        self._upload_labels = np.asarray(upload_labels, dtype=np.int64)
-        self._download_tables = {
-            int(gi): (
-                np.asarray(cuts, dtype=float),
-                np.asarray(labels, dtype=np.int64),
-            )
-            for gi, (cuts, labels) in download_tables.items()
-        }
-        self.verified_n = int(verified_n)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        assigner: TierAssigner,
-        downloads,
-        uploads,
-        strict: bool = True,
-    ) -> "QuantizedLookup":
-        """Compile and *prove* a lookup table on a training sample.
-
-        Raises ``ValueError`` when ``strict`` and any training tuple
-        disagrees with the exact path (the table must never silently
-        approximate).  With ``strict=False`` the unproven table is
-        returned with ``verified_n == 0``; callers can still
-        :meth:`verify` later.
-        """
-        downloads, uploads = _validate_batch(downloads, uploads)
-        upload_cuts, upload_labels = _label_cuts(
-            uploads,
-            lambda u: assigner._component_groups[assigner._upload_predict(u)],
-        )
-        exact = assigner.assign(downloads, uploads)
-        tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for gi in np.unique(exact.group_indices):
-            gi = int(gi)
-            rows = exact.group_indices == gi
-            tables[gi] = _label_cuts(
-                downloads[rows], partial(assigner._segment_tiers, gi)
-            )
-        lookup = cls(assigner, upload_cuts, upload_labels, tables)
-        verified = lookup.verify(downloads, uploads)
-        if strict and not verified:
-            raise ValueError(
-                "quantized lookup table disagrees with the exact GMM "
-                "path on the training sample; refusing to serve it"
-            )
-        lookup.verified_n = int(downloads.size) if verified else 0
-        return lookup
-
-    def verify(self, downloads, uploads) -> bool:
-        """Byte-identity proof: table output == exact path output."""
-        exact = self.assigner.assign(downloads, uploads)
-        table = self.assign(downloads, uploads)
-        return bool(
-            np.array_equal(exact.tiers, table.tiers)
-            and np.array_equal(exact.group_indices, table.group_indices)
-        )
-
-    # ------------------------------------------------------------------
-    def assign(self, downloads, uploads) -> AssignmentBatch:
-        """Assign a batch via the threshold tables.
-
-        Rows landing in upload groups the table was not built for run
-        through the exact predictors (the same grouped loop as
-        :meth:`TierAssigner.assign`).
-        """
-        downloads, uploads = _validate_batch(downloads, uploads)
-        group_indices = self._upload_labels[
-            np.searchsorted(self._upload_cuts, uploads, side="right")
-        ]
-        tiers, n_fallback = self.assigner._assign_grouped(
-            group_indices, downloads, self._segment_tiers
-        )
-        return AssignmentBatch(
-            tiers=tiers,
-            group_indices=group_indices,
-            n_fallback=n_fallback,
-        )
-
-    def _segment_tiers(self, gi: int, downloads: np.ndarray) -> np.ndarray:
-        """Table tiers of one upload group; exact when it has no table."""
-        table = self._download_tables.get(gi)
-        if table is None:
-            return self.assigner._segment_tiers(gi, downloads)
-        cuts, labels = table
-        return labels[np.searchsorted(cuts, downloads, side="right")]
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-able form of the tables (small enough for an index)."""
-        return {
-            "lookup_schema": self.LOOKUP_SCHEMA,
-            "upload_cuts": self._upload_cuts.tolist(),
-            "upload_labels": self._upload_labels.tolist(),
-            "download_tables": {
-                str(gi): {
-                    "cuts": cuts.tolist(),
-                    "labels": labels.tolist(),
-                }
-                for gi, (cuts, labels) in self._download_tables.items()
-            },
-            "verified_n": self.verified_n,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, assigner: TierAssigner, data: dict
-    ) -> "QuantizedLookup":
-        """Rebuild a persisted table against its (reloaded) assigner."""
-        schema = data.get("lookup_schema")
-        if schema != cls.LOOKUP_SCHEMA:
-            raise ValueError(
-                f"unknown lookup_schema {schema!r}; this build reads "
-                f"{cls.LOOKUP_SCHEMA}"
-            )
-        try:
-            return cls(
-                assigner,
-                upload_cuts=np.asarray(data["upload_cuts"], dtype=float),
-                upload_labels=np.asarray(
-                    data["upload_labels"], dtype=np.int64
-                ),
-                download_tables={
-                    int(gi): (
-                        np.asarray(entry["cuts"], dtype=float),
-                        np.asarray(entry["labels"], dtype=np.int64),
-                    )
-                    for gi, entry in data["download_tables"].items()
-                },
-                verified_n=int(data.get("verified_n", 0)),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(
-                f"truncated lookup table payload: missing field ({exc})"
-            ) from exc
+        labels = self._group_labels
+        return map_rows(group_indices, labels.__getitem__, object).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,7 @@ fitted :class:`~repro.core.bst.BSTResult` stored on disk:
 - ``<root>/index.json`` -- the key -> record mapping, where a
   :class:`ModelRecord` carries the digest plus staleness metadata
   (creation time, training-set size, schema version), the training
-  distribution summary the serving drift check compares against, and
-  -- when the training sample was supplied at registration -- a
-  quantized lookup table proven byte-identical to the exact GMM path
-  on that sample (see :class:`repro.serve.engine.QuantizedLookup`).
+  distribution summary the serving drift check compares against.
 
 All writes are atomic (temp file + ``os.replace``), so a crashed
 registration never leaves a half-written object or index.  The registry
@@ -129,10 +126,6 @@ class ModelRecord:
     train_size: int
     schema_version: int = SCHEMA_VERSION
     training_stats: dict[str, dict[str, float]] = field(default_factory=dict)
-    # Quantized lookup table proven byte-identical on the training
-    # sample at registration (None when no sample was supplied or the
-    # proof failed); see repro.serve.engine.QuantizedLookup.
-    lookup: dict[str, Any] | None = None
 
     def age_s(self, now: float | None = None) -> float:
         """Seconds since registration."""
@@ -151,11 +144,12 @@ class ModelRecord:
             "train_size": self.train_size,
             "schema_version": self.schema_version,
             "training_stats": self.training_stats,
-            "lookup": self.lookup,
         }
 
     @classmethod
     def from_dict(cls, row: dict[str, Any]) -> "ModelRecord":
+        # Keys not read here are ignored, so index rows written by
+        # older builds, which also carry a "lookup" table, still load.
         try:
             return cls(
                 key=ModelKey(
@@ -169,7 +163,6 @@ class ModelRecord:
                 train_size=int(row.get("train_size", 0)),
                 schema_version=int(row.get("schema_version", 1)),
                 training_stats=dict(row.get("training_stats", {})),
-                lookup=row.get("lookup"),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(
@@ -296,14 +289,9 @@ class ModelRegistry:
 
         ``downloads``/``uploads`` (the training sample, optional) feed
         the record's ``training_stats`` -- the baseline the serving
-        drift check compares live traffic against -- and, when both
-        are present, the quantized lookup table: compiled from the fit
-        and *proven byte-identical* to the exact GMM path on the
-        training sample before being persisted (a failed proof
-        registers the model without a table; an unproven table is
-        never stored).  Registration also writes the mmap-able
-        ``.arrays`` sidecar that :meth:`load_shared` serves worker
-        processes from.
+        drift check compares live traffic against.  Registration also
+        writes the mmap-able ``.arrays`` sidecar that
+        :meth:`load_shared` serves worker processes from.
         """
         payload = bst_result_to_dict(result)
         blob = json.dumps(
@@ -324,7 +312,6 @@ class ModelRegistry:
             train_size=len(result),
             schema_version=SCHEMA_VERSION,
             training_stats=training_stats,
-            lookup=self._build_lookup(key, result, downloads, uploads),
         )
         with span("serve.registry.register", key=key.slug) as sp:
             with self._lock:
@@ -454,26 +441,6 @@ class ModelRegistry:
             buf += arr.tobytes()
             buf += b"\0" * (_pad16(len(buf)) - len(buf))
         _atomic_write(path, bytes(buf))
-
-    def _build_lookup(
-        self, key: ModelKey, result: BSTResult, downloads, uploads
-    ) -> dict[str, Any] | None:
-        """Compile + prove the quantized table; None when not possible."""
-        if downloads is None or uploads is None:
-            return None
-        from repro.serve.engine import QuantizedLookup, TierAssigner
-
-        try:
-            table = QuantizedLookup.build(
-                TierAssigner(result), downloads, uploads
-            )
-        except ValueError as exc:
-            log.warning(
-                "quantized lookup not persisted for model",
-                extra=kv(key=key.slug, reason=str(exc)),
-            )
-            return None
-        return table.to_dict()
 
     def records(self) -> list[ModelRecord]:
         """Every registered model's record, sorted by key slug."""

@@ -26,7 +26,7 @@ The router reads its address, ``default_city``, ``max_body_bytes`` and
 ``metrics_window_s`` from the deployment's
 :class:`~repro.serve.server.ServeConfig`; each worker gets that whole
 config, re-pointed at its shard, so every ``repro serve`` setting
-(alerting, tracing, quantized lookups, refits) reaches every worker.
+(alerting, tracing, refits) reaches every worker.
 Drift is the shard owner's: each worker judges, alerts on, and under
 ``repro serve --refit`` refits, the models it serves; the router holds
 no drift state.

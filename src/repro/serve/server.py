@@ -87,8 +87,8 @@ from repro.obs.window import (
 from repro.serve.engine import (
     BatcherClosedError,
     MicroBatcher,
-    QuantizedLookup,
     TierAssigner,
+    _validate_batch,
 )
 from repro.serve.http import JsonHTTPServer, JsonRequestHandler, RequestError
 from repro.serve.registry import ModelKey, ModelRecord, ModelRegistry
@@ -132,7 +132,6 @@ class ServeConfig:
     alert_rules_path: str | None = None  # JSON rules; None -> defaults
     shard: tuple[int, int] | None = None  # (index, total) (city, isp) shard
     mmap_models: bool = False  # load via the shared mmap sidecar
-    quantized: bool = False  # serve via verified lookup tables
     workers: int = 1  # > 1: a router in front of this many workers
     refit_interval_s: float = 0.0  # refit scheduler period; <= 0 disables
     refit_jobs: int = 1  # parallel fit jobs per refit
@@ -164,9 +163,11 @@ class _LoadedModel:
     assigner: TierAssigner
     moments: dict[str, WindowedMoments]  # drift window per direction
     sample: PairRing = field(default_factory=PairRing)  # refit sample
-    lookup: QuantizedLookup | None = None  # verified quantized table
     batcher: MicroBatcher | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
+    # Always None; kept only because the traced replay in
+    # benchmarks/perf/serving.py (_instrument) still reads it.
+    lookup = None
 
 
 class AssignmentService:
@@ -250,23 +251,12 @@ class AssignmentService:
             result, record = self.registry.load_shared(key)
         else:
             result, record = self.registry.load(key)
-        assigner = TierAssigner(result)
-        lookup = None
-        if self.config.quantized and record.lookup:
-            try:
-                lookup = QuantizedLookup.from_dict(assigner, record.lookup)
-            except ValueError as exc:
-                log.warning(
-                    "persisted lookup table rejected; serving exact path",
-                    extra=kv(model=key.slug, error=str(exc)),
-                )
         window_s = self.config.metrics_window_s
         loaded = _LoadedModel(
             key=key,
             record=record,
-            assigner=assigner,
+            assigner=TierAssigner(result),
             moments={d: WindowedMoments(window_s) for d in DIRECTIONS},
-            lookup=lookup,
         )
         with self._lock:
             # Another thread may have raced us; keep the first.
@@ -305,11 +295,13 @@ class AssignmentService:
             uploads = np.asarray(uploads, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"non-numeric speed values: {exc}") from exc
+        # One validation for both branches: the batcher, the engine and
+        # _observe all see the same paired, finite, 1-D arrays.
+        downloads, uploads = _validate_batch(downloads, uploads)
         selectors = {
             name: payload.get(name) for name in ("city", "isp", "config_hash")
         }
         loaded = self.resolve(**selectors)
-        lookup = None
         if payload.get("stream") and downloads.size == 1:
             try:
                 tier, group = self.batcher_for(loaded).assign_one(
@@ -324,18 +316,14 @@ class AssignmentService:
                 tier, group = self.batcher_for(loaded).assign_one(
                     float(downloads[0]), float(uploads[0])
                 )
-            tiers = [tier]
-            groups = [group]
+            tiers, groups = np.array([tier]), np.array([group])
             stages = loaded.assigner.result.download_stages
             n_fallback = int(group not in stages)  # no fitted stage
         else:
-            lookup = loaded.lookup
-            batch = (lookup or loaded.assigner).assign(downloads, uploads)
-            tiers = batch.tiers.tolist()
-            groups = batch.group_indices.tolist()
+            batch = loaded.assigner.assign(downloads, uploads)
+            tiers, groups = batch.tiers, batch.group_indices
             n_fallback = batch.n_fallback
-        # Observe only after assignment succeeded: a batch the engine
-        # rejects with 400 (NaN/inf, mismatched lengths) or that timed
+        # Observe only after assignment succeeded: a batch that timed
         # out in the queue must not shift the drift window's observed
         # means, fire false model_drift alerts, or enter a refit.
         self._observe(loaded, downloads, uploads)
@@ -344,11 +332,9 @@ class AssignmentService:
         self.metrics.counter("serve.assigned").inc(len(tiers))
         if n_fallback:
             self.metrics.counter("serve.fallback_assigned").inc(n_fallback)
-        if lookup is not None:
-            self.metrics.counter("serve.lookup_assigned").inc(len(tiers))
         return {
-            "tiers": tiers,
-            "group_indices": groups,
+            "tiers": tiers.tolist(),
+            "group_indices": groups.tolist(),
             "group_labels": loaded.assigner.group_labels(groups),
             "n_fallback": n_fallback,
             "model": {

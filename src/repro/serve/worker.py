@@ -17,8 +17,8 @@ is bound.  ``--config`` is the deployment's whole config
 worker's shard: ``port=0``, ``workers=1``, ``shard=(i, N)`` and
 ``mmap_models=True``, so N processes serving the same model share one
 page-cache copy of its big per-row arrays.  Every other setting --
-alert interval, rules and log, trace sampling, quantized lookups,
-refits -- is the operator's.
+alert interval, rules and log, trace sampling, refits -- is the
+operator's.
 
 A worker is a complete server: it keeps its own micro-batchers, drift
 windows, refit samples and alert evaluator (each appends its own

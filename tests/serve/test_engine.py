@@ -226,7 +226,7 @@ def test_constructor_validation(fitted_a):
 
 
 # ---------------------------------------------------------------------------
-# Grouped download pass + QuantizedLookup
+# Grouped download pass
 # ---------------------------------------------------------------------------
 def _reference_assign(assigner, downloads, uploads):
     """The pre-vectorization per-group masking loop, kept as an oracle."""
@@ -254,52 +254,3 @@ def test_grouped_pass_matches_reference_loop(fitted_a, fresh_sample):
     ref_tiers, ref_groups = _reference_assign(assigner, downs, ups)
     assert np.array_equal(batch.tiers, ref_tiers)
     assert np.array_equal(batch.group_indices, ref_groups)
-
-
-def test_quantized_lookup_proof_on_training_sample(fitted_a, ookla_a):
-    from repro.serve.engine import QuantizedLookup
-
-    downs, ups = _speeds(ookla_a)
-    lookup = QuantizedLookup.build(TierAssigner(fitted_a), downs, ups)
-    assert lookup.verified_n == downs.size
-    batch = lookup.assign(downs, ups)
-    assert np.array_equal(batch.tiers, fitted_a.tiers)
-    assert np.array_equal(batch.group_indices, fitted_a.group_indices)
-
-
-def test_quantized_lookup_matches_exact_on_fresh_data(
-    fitted_a, ookla_a, fresh_sample
-):
-    from repro.serve.engine import QuantizedLookup
-
-    downs, ups = _speeds(ookla_a)
-    assigner = TierAssigner(fitted_a)
-    lookup = QuantizedLookup.build(assigner, downs, ups)
-    fresh_downs, fresh_ups = fresh_sample
-    exact = assigner.assign(fresh_downs, fresh_ups)
-    table = lookup.assign(fresh_downs, fresh_ups)
-    assert np.array_equal(table.tiers, exact.tiers)
-    assert np.array_equal(table.group_indices, exact.group_indices)
-
-
-def test_quantized_lookup_round_trips_through_json(fitted_a, ookla_a):
-    import json
-
-    from repro.serve.engine import QuantizedLookup
-
-    downs, ups = _speeds(ookla_a)
-    assigner = TierAssigner(fitted_a)
-    lookup = QuantizedLookup.build(assigner, downs, ups)
-    payload = json.loads(json.dumps(lookup.to_dict()))
-    revived = QuantizedLookup.from_dict(assigner, payload)
-    assert revived.verify(downs, ups)
-    assert revived.verified_n == lookup.verified_n
-
-
-def test_quantized_lookup_rejects_unknown_schema(fitted_a):
-    from repro.serve.engine import QuantizedLookup
-
-    with pytest.raises(ValueError, match="lookup_schema"):
-        QuantizedLookup.from_dict(
-            TierAssigner(fitted_a), {"lookup_schema": 99}
-        )

@@ -169,7 +169,7 @@ def test_no_tmp_files_left_behind(registry, fitted_a, catalog_a):
 
 
 # ---------------------------------------------------------------------------
-# mmap sidecar + quantized lookup persistence + shard hashing
+# mmap sidecar + shard hashing
 # ---------------------------------------------------------------------------
 def _speeds(table):
     return (
@@ -217,23 +217,66 @@ def test_load_shared_rejects_corrupt_sidecar(
         registry.load_shared(key)
 
 
-def test_lookup_table_persisted_with_training_sample(
-    registry, fitted_a, catalog_a, ookla_a
+def test_index_rows_with_a_lookup_table_still_load_and_serve(
+    tmp_path, fitted_a, catalog_a, ookla_a, fresh_sample
 ):
+    """Older builds persisted a lookup table in each index row
+    registered with its training sample.  Such a row still resolves,
+    loads (plain and shared) and serves the same answers as a fresh
+    registration; the table is ignored, and new rows carry none."""
+    import shutil
+
+    from repro.serve.server import AssignmentService, ServeConfig
+
     downs, ups = _speeds(ookla_a)
-    key = registry.key_for("A", catalog_a)
-    record = registry.register(key, fitted_a, downloads=downs, uploads=ups)
-    assert record.lookup is not None
-    assert record.lookup["verified_n"] == downs.size
-    # The table survives the index round trip.
-    reloaded = registry.lookup(key)
-    assert reloaded.lookup == record.lookup
-    # Without a training sample there is nothing to prove against.
-    bare = registry.register(
-        registry.key_for("A", catalog_a, BSTConfig(kde_method="binned")),
-        fitted_a,
-    )
-    assert bare.lookup is None
+    fresh = ModelRegistry(tmp_path / "fresh")
+    key = fresh.key_for("A", catalog_a)
+    record = fresh.register(key, fitted_a, downloads=downs, uploads=ups)
+    index = json.loads(fresh.index_path.read_bytes())
+    assert "lookup" not in index["entries"][key.slug]
+    assert "lookup" not in record.to_dict()
+
+    # The row as an older build wrote it: a table that, if anything
+    # read it, would put every row in upload group 0 at tier 1.
+    index["entries"][key.slug]["lookup"] = {
+        "lookup_schema": 1,
+        "upload_cuts": [],
+        "upload_labels": [0],
+        "download_tables": {"0": {"cuts": [], "labels": [1]}},
+        "verified_n": int(downs.size),
+    }
+    shutil.copytree(fresh.root, tmp_path / "older")
+    older = ModelRegistry(tmp_path / "older")
+    older.index_path.write_text(json.dumps(index, sort_keys=True, indent=2))
+
+    assert older.resolve("A") == record
+    for load in (older.load, older.load_shared):
+        result, loaded_record = load(key)
+        assert loaded_record == record
+        assert np.array_equal(result.tiers, fitted_a.tiers)
+        assert np.array_equal(result.group_indices, fitted_a.group_indices)
+    fresh_downs, fresh_ups = fresh_sample
+    body = {
+        "downloads": fresh_downs[:200].tolist(),
+        "uploads": fresh_ups[:200].tolist(),
+    }
+    answers = {}
+    for name, registry in (("fresh", fresh), ("older", older)):
+        for mmap_models in (False, True):
+            service = AssignmentService(
+                registry,
+                ServeConfig(
+                    default_city="A",
+                    alert_interval_s=0.0,
+                    mmap_models=mmap_models,
+                ),
+            )
+            try:
+                out = service.assign_payload(body)
+            finally:
+                service.close()
+            answers[name, mmap_models] = out
+    assert len({json.dumps(a, sort_keys=True) for a in answers.values()}) == 1
 
 
 def test_shard_for_is_deterministic_and_total():
@@ -415,19 +458,18 @@ def test_concurrent_processes_keep_every_index_entry(
 def test_registration_counts_no_assignment(
     registry, fitted_a, catalog_a, ookla_a
 ):
-    """A registration's lookup proof assigns the training sample three
-    times; it answers nothing, so no assignment count moves."""
+    """A registration with its training sample answers nothing, so no
+    assignment count moves."""
     from repro.obs.metrics import MetricsRegistry, use_registry
     from repro.obs.quality import use_quality
 
     with use_registry(MetricsRegistry()) as metrics, use_quality() as quality:
-        record = registry.register(
+        registry.register(
             registry.key_for("A", catalog_a),
             fitted_a,
             downloads=np.asarray(ookla_a["download_mbps"], dtype=float),
             uploads=np.asarray(ookla_a["upload_mbps"], dtype=float),
         )
-    assert record.lookup  # the proof ran
     counted = {
         name for name in metrics.snapshot() if name.endswith("assigned")
     }

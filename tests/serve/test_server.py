@@ -64,13 +64,13 @@ def served(tmp_path_factory, fitted_a, request):
     thread.join(timeout=10)
 
 
-@pytest.mark.parametrize("quantized", [False, True])
 def test_assign_payload_counts_the_rows_it_answers(
-    tmp_path, fitted_a, ookla_a, catalog_a, fresh_sample, quantized
+    tmp_path, fitted_a, ookla_a, catalog_a, fresh_sample
 ):
-    """``serve.assigned`` counts every answered row -- batched, looked up
-    or streamed -- and ``serve.fallback_assigned`` the answers'
-    ``n_fallback``; the registration before serving counts nothing."""
+    """``serve.assigned`` counts every answered row -- batched or
+    streamed -- and ``serve.fallback_assigned`` the answers'
+    ``n_fallback``; the registration before serving counts nothing, and
+    no other ``*_assigned`` counter exists."""
     stages = dict(fitted_a.download_stages)
     amputated_group, _ = stages.popitem()  # its rows take the fallback
     amputated = type(fitted_a)(
@@ -85,9 +85,7 @@ def test_assign_payload_counts_the_rows_it_answers(
     in_fallback = np.flatnonzero(groups == amputated_group)[:5]
     fitted = np.flatnonzero(groups != amputated_group)[:5]
     registry = ModelRegistry(tmp_path)
-    config = ServeConfig(
-        default_city="A", alert_interval_s=0.0, quantized=quantized
-    )
+    config = ServeConfig(default_city="A", alert_interval_s=0.0)
     # As in a cold `repro serve`: register, then serve, both under the
     # process registry.
     with use_registry(MetricsRegistry()):
@@ -122,7 +120,9 @@ def test_assign_payload_counts_the_rows_it_answers(
         return counts.get(name, {}).get("value", 0.0)
 
     assert counted("serve.assigned") == 510
-    assert counted("serve.lookup_assigned") == (500 if quantized else 0)
+    assert {name for name in counts if name.endswith("_assigned")} == {
+        "serve.fallback_assigned"
+    }
     n_fallback = [answer["n_fallback"] for answer in answers]
     assert n_fallback[1:] == [1] * 5 + [0] * 5
     assert counted("serve.fallback_assigned") == sum(n_fallback) > 5
@@ -256,6 +256,43 @@ def test_bad_payloads_are_400(served):
     with pytest.raises(ServeError) as err:
         client.assign([], [])
     assert err.value.status == 400
+
+
+@pytest.mark.parametrize(
+    "downloads, uploads",
+    [([100.0], [5.0, 6.0]), ([100.0], []), ([100.0], [float("inf")])],
+    ids=["unpaired", "empty-uploads", "non-finite"],
+)
+def test_malformed_streamed_bodies_are_400(served, downloads, uploads):
+    """A streamed body gets the batch path's validation: it is refused
+    as its batch twin is (test_bad_payloads_are_400)."""
+    client, _ = served
+    body = {"downloads": downloads, "uploads": uploads, "stream": True}
+    with pytest.raises(ServeError) as err:
+        client._request("POST", "/assign", body)
+    assert err.value.status == 400
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["batch", "stream"])
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda v: [[v]], lambda v: v],
+    ids=["nested", "scalar"],
+)
+def test_nested_and_scalar_assign_bodies_answer_their_row(
+    served, fitted_a, wrap, stream
+):
+    """A nested or scalar body is its flattened row: the exact engine's
+    answer, and one 1-D row in the model's drift window and sample."""
+    client, server = served
+    body = {"downloads": wrap(110.0), "uploads": wrap(5.5), "stream": stream}
+    out = client._request("POST", "/assign", body)
+    tier, group = TierAssigner(fitted_a).assign_one(110.0, 5.5)
+    assert out["tiers"] == [tier]
+    assert out["group_indices"] == [group]
+    downs, ups = server.service.recent_sample("A", fitted_a.catalog.isp_name)
+    assert downs.ndim == ups.ndim == 1
+    assert (downs[-1], ups[-1]) == (110.0, 5.5)
 
 
 def test_malformed_json_is_400(served):

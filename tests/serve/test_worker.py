@@ -43,7 +43,6 @@ _ALL_SET = ServeConfig(
     alert_rules_path="rules.json",
     shard=(1, 3),
     mmap_models=False,
-    quantized=True,
     workers=3,
     refit_interval_s=0.5,
     refit_jobs=2,

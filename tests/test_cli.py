@@ -359,8 +359,8 @@ class TestAssign:
         self, tmp_path, ookla_csv, capsys
     ):
         """Under the run ledger, a fresh fit (cold) and a registered model
-        (warm) each record one assignment per row: the registration's
-        lookup proof counts none."""
+        (warm) each record one assignment per row: the registration
+        counts none."""
         from repro.obs.runs import RunLedger
 
         ledger = tmp_path / "runs.jsonl"
